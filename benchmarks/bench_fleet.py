@@ -5,9 +5,9 @@ at and records the numbers to a ``BENCH_*.json`` trajectory file (same
 schema and baseline gate as ``bench_simcore_wallclock.py``):
 
 - ``fleet_10knodes_100k_fast`` / ``..._naive`` — the optimized engine
-  vs the retained pre-optimization implementation (one event per
-  arrival/completion, linear capacity scans, per-start dict records) on
-  one shard of 10k nodes.  Their reports must be byte-identical and the
+  vs the pre-optimization oracle from ``tests/oracles/fleet.py`` (one
+  event per arrival/completion, linear capacity scans) on one shard of
+  10k nodes.  Their reports must be byte-identical and the
   entry records ``speedup_vs_naive`` (the PR acceptance bar is >= 5x).
 - ``fleet_flagship_1m`` — 2000 tenants / 10k nodes / 1M starts across 8
   cells, the headline scale, with the sim counters
@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 import time
 
 from repro.shard import ObsConfig, run_cells
@@ -59,6 +60,9 @@ from repro.workload.fleet import (
 
 import bench_simcore_wallclock as _wallclock
 from bench_simcore_wallclock import REPO_ROOT, calibrate, check_baselines
+
+sys.path.insert(0, str(REPO_ROOT))  # the oracles live in tests/oracles/
+from tests.oracles.fleet import fleet_oracle  # noqa: E402
 
 #: fast-vs-naive ratio shape: one shard so the naive linear scan faces
 #: the full 10k-node pool, exactly what CapacityIndex replaced.
@@ -130,13 +134,9 @@ def run_fleet_suite() -> dict:
 
     # -- optimized vs pre-optimization, byte-identical outputs --------------
     wall_fast, prof_fast, res_fast = timed_fleet(RATIO_CONFIG)
-    wall_naive, prof_naive, res_naive = timed_fleet(
-        dataclasses.replace(RATIO_CONFIG, naive=True)
-    )
-    report_fast = fleet_report_document(res_fast)
-    report_naive = fleet_report_document(res_naive)
-    report_naive["config"]["naive"] = False  # the only permitted difference
-    if report_fast != report_naive:
+    with fleet_oracle():
+        wall_naive, prof_naive, res_naive = timed_fleet(RATIO_CONFIG)
+    if fleet_report_document(res_fast) != fleet_report_document(res_naive):
         raise AssertionError(
             "optimized fleet diverged from the naive reference implementation"
         )

@@ -13,8 +13,8 @@ instead of living in a rendered text table.
 
 Run as a script (``python benchmarks/bench_scenario_scaling.py``) this
 file additionally times the *fleet-scale* sweep — the same scenario at
-64/256/1024 nodes, once on the indexed control plane and once with
-``naive=True`` (the retained pre-optimization linear-scan paths) — and
+64/256/1024 nodes, once on the indexed control plane and once on the
+pre-optimization linear-scan oracles from ``tests/oracles/`` — and
 checks that the two modes are byte-identical on the canonical report
 surface (rows + per-pod digests) while the indexed mode is at least
 ``RATIO_FLOOR``x faster at 1024 nodes.  Environment knobs mirror
@@ -30,10 +30,12 @@ surface (rows + per-pod digests) while the indexed mode is at least
   gate and the ``SIMCORE_BENCH_BASELINE`` list
 """
 
+import contextlib
 import hashlib
 import json
 import os
 import pathlib
+import sys
 import time
 
 from repro.scenarios import KubeletInAllocationScenario
@@ -44,11 +46,13 @@ from repro.workload.generators import PodBatchGenerator
 from conftest import once, write_artifact
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # the oracles live in tests/oracles/
+from tests.oracles.control_plane import control_plane_oracle  # noqa: E402
 
 #: fleet-scale sweep sizes; the last is the §6 "thousands of nodes" bar.
 SCALE_NODES = (64, 256, 1024)
 SCALE_PODS_PER_NODE = 2
-#: indexed control plane must beat the retained naive paths by this much
+#: indexed control plane must beat the linear-scan oracles by this much
 #: at the largest sweep point.
 RATIO_FLOOR = 3.0
 
@@ -70,9 +74,9 @@ def pod_digest(pods) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
-def run_once(n_nodes: int, pods_per_node: int = 4, naive: bool = False):
+def run_once(n_nodes: int, pods_per_node: int = 4):
     env = Environment()
-    scenario = KubeletInAllocationScenario(env, n_nodes=n_nodes, naive=naive)
+    scenario = KubeletInAllocationScenario(env, n_nodes=n_nodes)
     ready = scenario.provision()
     env.run(until=ready)
     provision_end = env.now
@@ -138,17 +142,18 @@ def test_65_scaling(benchmark, out_dir):
 
 
 def run_scale_suite(calibration_s: float) -> dict:
-    """The 64/256/1024-node sweep, indexed vs retained-naive.
+    """The 64/256/1024-node sweep, indexed vs the linear-scan oracles.
 
     Both modes must produce byte-identical canonical rows (including the
     per-pod digest); only wall-clock may differ — and must, by at least
     :data:`RATIO_FLOOR` at the largest point.
     """
     scale: dict[str, dict] = {"fast": {}, "naive": {}}
-    for mode, naive in (("fast", False), ("naive", True)):
+    for mode, plane in (("fast", contextlib.nullcontext), ("naive", control_plane_oracle)):
         for n_nodes in SCALE_NODES:
             t0 = time.perf_counter()
-            row = run_once(n_nodes, pods_per_node=SCALE_PODS_PER_NODE, naive=naive)
+            with plane():
+                row = run_once(n_nodes, pods_per_node=SCALE_PODS_PER_NODE)
             wall = time.perf_counter() - t0
             scale[mode][f"n{n_nodes}"] = {
                 "wall_clock_s": round(wall, 4),

@@ -453,7 +453,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             seed=args.seed,
             shards=args.shards,
             day=args.day,
-            naive=args.naive,
         )
     except ValueError as exc:
         print(f"bad fleet config: {exc}", file=sys.stderr)
@@ -554,7 +553,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             seed=args.seed,
             shards=args.shards,
             day=args.day,
-            naive=args.naive,
         )
     except ValueError as exc:
         print(f"bad replay config: {exc}", file=sys.stderr)
@@ -842,10 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--jobs", type=int, default=1,
                          help="worker processes (output is byte-identical "
                               "to --jobs 1)")
-    p_fleet.add_argument("--naive", action="store_true",
-                         help="run the pre-optimization engine (one event "
-                              "per start, linear node scans) — same results, "
-                              "much slower; exists for the perf baseline")
     p_fleet.add_argument("--chaos", action="store_true",
                          help="generate a fleet-sized fault plan from --seed "
                               "(node crashes + registry windows) and deliver "
@@ -910,10 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--jobs", type=int, default=1,
                           help="worker processes (output is byte-identical "
                                "to --jobs 1)")
-    p_replay.add_argument("--naive", action="store_true",
-                          help="run the retained linear-scan control plane "
-                               "(same results, much slower; the perf "
-                               "baseline)")
     p_replay.add_argument("--faults", default=None, metavar="PLAN.json",
                           help="deliver a fault plan's registry windows into "
                                "the replay pull path (node crashes in the "

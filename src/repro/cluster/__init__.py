@@ -1,6 +1,6 @@
 """Cluster hardware model: nodes, devices, interconnect, sites."""
 
-from repro.cluster.capacity import CapacityIndex, LinearCapacityScan
+from repro.cluster.capacity import CapacityIndex
 from repro.cluster.hardware import CPUSpec, GPUDevice, MICROARCH_LEVELS, NICSpec
 from repro.cluster.node import HostNode
 from repro.cluster.network import Interconnect
@@ -11,7 +11,6 @@ __all__ = [
     "GPUDevice",
     "HostNode",
     "Interconnect",
-    "LinearCapacityScan",
     "MICROARCH_LEVELS",
     "NICSpec",
     "Site",

@@ -17,16 +17,15 @@ is valid only while its current free capacity equals the bucket level,
 and stale entries are discarded when popped — so every operation is a
 constant number of heap pushes/pops.
 
-:class:`LinearCapacityScan` is the O(nodes) reference implementation
-with the *identical* policy.  It exists for two reasons: it is the
-pre-optimization baseline :mod:`benchmarks.bench_fleet` measures the
-index against, and it is the oracle the property tests compare every
+``tests/oracles/fleet.py`` holds the O(nodes) linear scan with the
+*identical* policy: the baseline :mod:`benchmarks.bench_fleet` measures
+the index against, and the oracle the property tests compare every
 placement decision to.
 
-Both implementations understand **down nodes** (the fleet chaos path):
+The index understands **down nodes** (the fleet chaos path):
 :meth:`~CapacityIndex.remove_node` takes a node out of the pool — its
-free capacity drops to zero, so neither allocator will ever pick it —
-and :meth:`~CapacityIndex.restore_node` returns it fully free.  The
+free capacity drops to zero, so it is never picked — and
+:meth:`~CapacityIndex.restore_node` returns it fully free.  The
 caller owns the slots that were running on the node when it crashed
 (they are killed, not released), so removal never calls ``release``;
 restoration recreates the node's full capacity in one step.  The
@@ -39,63 +38,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 
-class LinearCapacityScan:
-    """Reference best-fit placement: scan every node per request."""
-
-    __slots__ = ("free", "cap", "down")
-
-    def __init__(self, n_nodes: int, node_cpus: int):
-        self.cap = int(node_cpus)
-        self.free = [self.cap] * int(n_nodes)
-        #: node ids currently crashed (zero free capacity, never picked)
-        self.down: set[int] = set()
-
-    def alloc(self, req: int) -> int | None:
-        """Claim ``req`` cores on the best-fitting node (lowest id on
-        ties); returns the node id, or None when nothing fits."""
-        best = -1
-        best_free = self.cap + 1
-        for node, free in enumerate(self.free):
-            if req <= free < best_free:
-                best, best_free = node, free
-                if free == req:
-                    break  # exact fit: no better bucket exists
-        if best < 0:
-            return None
-        self.free[best] = best_free - req
-        return best
-
-    def release(self, node: int, req: int) -> None:
-        self.free[node] += req
-
-    def remove_node(self, node: int) -> int:
-        """Crash ``node``: drop its free capacity to zero so the scan
-        never picks it.  Returns the cores that were free at removal.
-        No-op (returning 0) when the node is already down — overlapping
-        crash windows must not double-remove."""
-        if node in self.down:
-            return 0
-        self.down.add(node)
-        freed = self.free[node]
-        self.free[node] = 0
-        return freed
-
-    def restore_node(self, node: int) -> None:
-        """Reboot ``node``: it rejoins the pool fully free.  The slots
-        that were killed at crash time were never released, so this is
-        the single step that recreates the node's capacity."""
-        if node not in self.down:
-            return
-        self.down.discard(node)
-        self.free[node] = self.cap
-
-    @property
-    def total_free(self) -> int:
-        return sum(self.free)
-
-
 class CapacityIndex:
-    """Bucketed lazy-deletion index with the same policy as the scan."""
+    """Best-fit placement (lowest node id on ties) in O(log nodes)."""
 
     __slots__ = ("free", "cap", "_buckets", "down")
 
@@ -111,7 +55,8 @@ class CapacityIndex:
         self.down: set[int] = set()
 
     def alloc(self, req: int) -> int | None:
-        """Best-fit claim, identical decisions to the linear scan."""
+        """Claim ``req`` cores on the best-fitting node (lowest id on
+        ties); returns the node id, or None when nothing fits."""
         free = self.free
         buckets = self._buckets
         for level in range(req, self.cap + 1):

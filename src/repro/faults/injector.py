@@ -128,10 +128,11 @@ class FaultInjector:
 
         Engines that batch time (the fleet pump) cannot ride the driver:
         it would wake at exact fault times and perturb their event
-        schedule, breaking fast-vs-naive equivalence.  They consume the
-        plan's push events as an edge stream of their own and call this
-        at each crash edge, so ``injected_counts`` / ``injected_at`` (and
-        the metrics/trace marks) stay identical to driver delivery."""
+        schedule, breaking equivalence with the event-per-start oracle.
+        They consume the plan's push events as an edge stream of their
+        own and call this at each crash edge, so ``injected_counts`` /
+        ``injected_at`` (and the metrics/trace marks) stay identical to
+        driver delivery."""
         if self.enabled:
             self._record(event, at)
 

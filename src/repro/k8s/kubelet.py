@@ -58,9 +58,6 @@ class Kubelet:
         user_proc: SimProcess | None = None,
         #: delegated cgroup subtree for pod cgroups (rootless mode)
         cgroup_path: str | None = None,
-        #: retained pre-optimization mode: unkeyed watch fan-out and
-        #: full store scans per sync, instead of the keyed watch + inbox
-        naive: bool = False,
     ):
         self.env = env
         self.api = apiserver
@@ -77,7 +74,6 @@ class Kubelet:
         self._active_pods: dict[str, object] = {}
         #: fired by the apiserver watch when a pod lands on this node
         self._wakeup = Signal(env)
-        self.naive = naive
         #: pods routed here by the keyed watch, drained by _sync — the
         #: informer-cache stand-in that replaces per-sync store scans
         self._inbox: list[Pod] = []
@@ -196,27 +192,21 @@ class Kubelet:
         last_heartbeat = self.env.now
         wakeup = self._wakeup
         watch_cb = self._on_pod_watch
-        self.api.watch(
-            "Pod",
-            watch_cb,
-            replay_existing=False,
-            key=None if self.naive else self.node_name,
-        )
-        if not self.naive:
-            # Seed the inbox from the store: pods bound to this node
-            # before the watch existed (e.g. left PENDING by a previous
-            # agent incarnation) must still be synced, exactly as the
-            # naive per-sync store scan would find them.
-            for pod in self.api.peek("Pod"):
-                if (
-                    isinstance(pod, Pod)
-                    and pod.node_name == self.node_name
-                    and pod.phase is PodPhase.PENDING
-                    and pod.metadata.uid not in self._active_pods
-                    and pod.metadata.uid not in self._inbox_uids
-                ):
-                    self._inbox_uids.add(pod.metadata.uid)
-                    self._inbox.append(pod)
+        self.api.watch("Pod", watch_cb, replay_existing=False, key=self.node_name)
+        # Seed the inbox from the store: pods bound to this node before
+        # the watch existed (e.g. left PENDING by a previous agent
+        # incarnation) must still be synced, exactly as a per-sync store
+        # scan would find them.
+        for pod in self.api.peek("Pod"):
+            if (
+                isinstance(pod, Pod)
+                and pod.node_name == self.node_name
+                and pod.phase is PodPhase.PENDING
+                and pod.metadata.uid not in self._active_pods
+                and pod.metadata.uid not in self._inbox_uids
+            ):
+                self._inbox_uids.add(pod.metadata.uid)
+                self._inbox.append(pod)
         try:
             # Tickless sync loop.  With pending pods it polls on the same
             # 0.5 s grid as before; idle, it parks until either a pod
@@ -260,48 +250,24 @@ class Kubelet:
         node.condition.ready = False
         self.api.update("Node", node)
 
-    def _wants_pod_event(self, event) -> bool:
-        obj = event.obj
-        return (
-            isinstance(obj, Pod)
-            and obj.node_name == self.node_name
-            and obj.phase is PodPhase.PENDING
-        )
-
     def _on_pod_watch(self, event) -> None:
-        """The Pod watch callback: route matching events to the inbox
-        (fast mode) and fire the sync loop's wakeup signal."""
-        if not self._wants_pod_event(event):
+        """The Pod watch callback: route pending pods bound here to the
+        inbox and fire the sync loop's wakeup signal."""
+        pod = event.obj
+        if not (isinstance(pod, Pod) and pod.node_name == self.node_name
+                and pod.phase is PodPhase.PENDING):
             return
-        if not self.naive:
-            uid = event.obj.metadata.uid
-            if uid not in self._inbox_uids and uid not in self._active_pods:
-                self._inbox_uids.add(uid)
-                self._inbox.append(event.obj)
+        uid = pod.metadata.uid
+        if uid not in self._inbox_uids and uid not in self._active_pods:
+            self._inbox_uids.add(uid)
+            self._inbox.append(pod)
         self._wakeup.fire(event)
 
     def _pending_pods(self) -> bool:
-        if not self.naive:
-            return bool(self._inbox)
-        for pod in self.api.peek("Pod"):
-            if (
-                isinstance(pod, Pod)
-                and pod.node_name == self.node_name
-                and pod.phase is PodPhase.PENDING
-                and pod.metadata.uid not in self._active_pods
-            ):
-                return True
-        return False
+        return bool(self._inbox)
 
     # -- pod sync --------------------------------------------------------------------
     def _sync(self):
-        if self.naive:
-            for pod in self.api.pods():
-                if pod.node_name != self.node_name:
-                    continue
-                if pod.phase is PodPhase.PENDING and pod.metadata.uid not in self._active_pods:
-                    yield from self._start_pod(pod)
-            return
         # Drain a snapshot: pods landing while a start yields belong to
         # the next sync, exactly as the store-scan path snapshots the
         # pod list at sync start.

@@ -1,19 +1,16 @@
 """The Kubernetes pod scheduler: filter → score → bind.
 
-Two placement paths share one contract:
-
-- the retained **linear** path (``indexed=False``) scans every pod in
-  the store and every node per pick — the pre-optimization oracle;
-- the default **indexed** path keeps a pending-pod queue fed from the
-  Pod watch plus a lazy-deletion min-heap of ``(ratio, name)`` node
-  entries (the :mod:`repro.cluster.capacity` idiom applied to the
-  least-allocated score), so a pass costs O(pending · log nodes)
-  instead of O(pods · nodes).
-
-Both paths compute the same function — the minimum of
+The scheduler keeps a pending-pod queue fed from the Pod watch plus a
+lazy-deletion min-heap of ``(ratio, name)`` node entries (the
+:mod:`repro.cluster.capacity` idiom applied to the least-allocated
+score), so a pass costs O(pending · log nodes) instead of the
+O(pods · nodes) of scanning every pod in the store and every node per
+pick.  Both compute the same function — the minimum of
 ``(allocated.cpu / capacity.cpu, name)`` over ready, selector-matching,
-fitting nodes — so binds, timings, traces and metrics are identical;
-``tests/k8s/test_scheduler_index.py`` holds them equal by property test.
+fitting nodes — so binds, timings, traces and metrics are identical:
+``tests/k8s/test_scheduler_index.py`` holds the scheduler equal to the
+linear-scan oracle in ``tests/oracles/control_plane.py`` by property
+test.
 """
 
 from __future__ import annotations
@@ -39,15 +36,14 @@ class K8sScheduler:
     #: one scheduling pass latency
     pass_latency = 0.02
 
-    def __init__(self, env: Environment, apiserver: APIServer, indexed: bool = True):
+    def __init__(self, env: Environment, apiserver: APIServer):
         self.env = env
         self.api = apiserver
-        self.indexed = indexed
         # Latching signal == the recreate-an-event "bell" pattern: rings
         # while a pass is in flight coalesce into the next wait().
         self._bell = Signal(env, latch=True)
         self.stats = {"scheduled": 0, "unschedulable_events": 0}
-        # -- indexed-path state ------------------------------------------
+        # -- placement index ----------------------------------------------
         #: pending pods in store (ADDED) order; unschedulable pods stay
         self._pending: list[Pod] = []
         self._pending_uids: set[str] = set()
@@ -59,30 +55,28 @@ class K8sScheduler:
         #: interned per-node metric keys for the bind counter
         self._bind_keys: dict[str, tuple] = {}
         self._unsched_key = None
-        if indexed:
-            # Index maintenance rides its own watcher so replaying the
-            # existing nodes does not ring the bell (an extra empty pass
-            # would shift every trace).
-            apiserver.watch("Node", self._on_node_index_event, replay_existing=True)
+        # Index maintenance rides its own watcher so replaying the
+        # existing nodes does not ring the bell (an extra empty pass
+        # would shift every trace).
+        apiserver.watch("Node", self._on_node_index_event, replay_existing=True)
         apiserver.watch("Pod", self._on_pod_event, replay_existing=True)
         apiserver.watch("Node", self._on_node_event, replay_existing=False)
         env.process(self._loop(), name="kube-scheduler")
 
     def _on_pod_event(self, event: WatchEvent) -> None:
         if event.type in (WatchEventType.ADDED, WatchEventType.MODIFIED):
-            if self.indexed:
-                pod = event.obj
-                if (
-                    isinstance(pod, Pod)
-                    and not pod.bound
-                    and pod.phase is PodPhase.PENDING
-                    and pod.metadata.uid not in self._pending_uids
-                ):
-                    self._pending_uids.add(pod.metadata.uid)
-                    self._pending.append(pod)
-                    counters = _profile.counters
-                    if counters.enabled and len(self._pending) > counters.sched_pending_peak:
-                        counters.sched_pending_peak = len(self._pending)
+            pod = event.obj
+            if (
+                isinstance(pod, Pod)
+                and not pod.bound
+                and pod.phase is PodPhase.PENDING
+                and pod.metadata.uid not in self._pending_uids
+            ):
+                self._pending_uids.add(pod.metadata.uid)
+                self._pending.append(pod)
+                counters = _profile.counters
+                if counters.enabled and len(self._pending) > counters.sched_pending_peak:
+                    counters.sched_pending_peak = len(self._pending)
             self._ring()
 
     def _on_node_event(self, event: WatchEvent) -> None:
@@ -123,10 +117,7 @@ class K8sScheduler:
 
     # -- one pass ------------------------------------------------------------------
     def _schedule_pass(self) -> None:
-        if self.indexed:
-            bound = self._schedule_pass_indexed()
-        else:
-            bound = self._schedule_pass_linear()
+        bound = self._bind_pending()
         if _trace.tracer.enabled:
             # The pass's think time elapsed just before this call (the
             # loop sleeps pass_latency, then decides) — replay it as one
@@ -138,21 +129,8 @@ class K8sScheduler:
                 bound=bound,
             )
 
-    def _schedule_pass_linear(self) -> int:
-        nodes = self.api.nodes()
-        bound = 0
-        for pod in self.api.pods():
-            if pod.bound or pod.phase is not PodPhase.PENDING:
-                continue
-            target = self._pick_node(pod, nodes)
-            if target is None:
-                self._count_unschedulable()
-                continue
-            self._bind(pod, target)
-            bound += 1
-        return bound
-
-    def _schedule_pass_indexed(self) -> int:
+    def _bind_pending(self) -> int:
+        """Bind every pending pod that fits; returns the bind count."""
         bound = 0
         snapshot = self._pending
         # Appends during the pass (our own Pod updates re-enter the
@@ -167,7 +145,7 @@ class K8sScheduler:
             if pod.bound or pod.phase is not PodPhase.PENDING:
                 self._pending_uids.discard(pod.metadata.uid)
                 continue
-            target = self._pick_node_indexed(pod, failed_keys)
+            target = self._pick_node(pod, failed_keys)
             if target is None:
                 self._count_unschedulable()
                 still.append(pod)
@@ -207,25 +185,7 @@ class K8sScheduler:
             _metrics.registry.inc_series(self._unsched_key)
 
     # -- node picking --------------------------------------------------------------
-    def _pick_node(self, pod: Pod, nodes: list[K8sNode]) -> K8sNode | None:
-        req = pod.spec.total_requests()
-        candidates = []
-        for node in nodes:
-            if not node.condition.ready:
-                continue
-            selector = pod.spec.node_selector
-            if selector and any(node.metadata.labels.get(k) != v for k, v in selector.items()):
-                continue
-            if not node.fits(req):
-                continue
-            candidates.append(node)
-        if not candidates:
-            return None
-        # Least-allocated scoring: spread pods across the allocation.
-        return min(candidates, key=lambda n: (n.allocated.cpu / max(n.capacity.cpu, 1e-9),
-                                              n.metadata.name))
-
-    def _pick_node_indexed(
+    def _pick_node(
         self, pod: Pod, failed_keys: set[tuple]
     ) -> K8sNode | None:
         req = pod.spec.total_requests()

@@ -90,9 +90,7 @@ class FleetReplayScenario:
         self.tenant_ids = config.shard_tenant_ids(shard)
         self.n_starts = config.shard_start_counts()[shard]
         n_nodes = max(1, config.shard_node_count(shard))
-        self.scenario = KubeletInAllocationScenario(
-            env, n_nodes=n_nodes, seed=config.seed, naive=config.naive
-        )
+        self.scenario = KubeletInAllocationScenario(env, n_nodes=n_nodes, seed=config.seed)
         self.api = self.scenario.k3s.api
         self.trace = generate_shard_trace(
             config, shard, n_starts=self.n_starts, tenant_ids=self.tenant_ids
@@ -414,8 +412,7 @@ def render_replay_summary(result: FleetReplayResult) -> str:
     lines = [
         "fleet replay — §6.5 stack under the §4 fleet workload",
         f"  config:     {config.tenants} tenants, {config.nodes} nodes, "
-        f"{config.starts} starts, {config.effective_shards} shards"
-        f"{', naive' if config.naive else ''}",
+        f"{config.starts} starts, {config.effective_shards} shards",
         f"  pods:       {result.completed}/{result.submitted} completed"
         + (f", {result.failed} failed" if result.failed else ""),
         f"  wait:       mean {result.mean_wait:.3f}s, max {result.max_wait:.3f}s",

@@ -1,21 +1,17 @@
 """FIFO + conservative backfill scheduling.
 
-Placement runs in one of two modes sharing a single contract:
+Each pass builds a per-pass availability index (position-ordered
+lazy-deletion heaps bucketed by free cores, plus a full-free heap for
+exclusive/whole-node requests) so a feasibility query costs
+O(matches · log nodes) instead of a re-scan of the whole node list per
+job, and reads the blocked head's shadow time from the controller's
+:class:`CompletionCalendar` (maintained at job start/end) instead of
+sorting every running job's projected end per blocked head.
 
-- the retained **linear** mode (``indexed=False``) re-scans the whole
-  node list per job, and re-sorts every running job's projected end
-  per blocked head — the pre-optimization oracle;
-- the default **indexed** mode builds a per-pass availability index
-  (position-ordered lazy-deletion heaps bucketed by free cores, plus a
-  full-free heap for exclusive/whole-node requests) so a feasibility
-  query costs O(matches · log nodes), and reads the blocked head's
-  shadow time from the controller's :class:`CompletionCalendar`
-  (maintained at job start/end) instead of sorting ``running`` per
-  pass.
-
-Both modes return identical placements in identical (node-list
-position) order for every input — ``tests/wlm/test_backfill_index.py``
-holds them equal by property test.
+Placements come out in node-list position order, identical to the
+linear scan for every input — ``tests/wlm/test_backfill_index.py``
+holds the scheduler equal to the linear oracle in
+``tests/oracles/control_plane.py`` by property test.
 """
 
 from __future__ import annotations
@@ -227,32 +223,20 @@ class BackfillScheduler:
     time limits).
     """
 
-    def __init__(self, backfill: bool = True, indexed: bool = True):
+    def __init__(self, backfill: bool = True):
         self.backfill = backfill
-        self.indexed = indexed
-
-    @staticmethod
-    def _fits(job: Job, nodes: list[WLMNode]) -> list[WLMNode] | None:
-        spec = job.spec
-        usable = [
-            n
-            for n in nodes
-            if n.partition == spec.partition
-            and n.can_host(spec.cores_per_node or n.total_cores, spec.gpus_per_node, spec.exclusive)
-        ]
-        if len(usable) >= spec.nodes:
-            return usable[: spec.nodes]
-        return None
 
     def schedule(
         self,
         queue: _t.Sequence[Job],
         nodes: list[WLMNode],
         now: float,
-        running: _t.Sequence[Job] = (),
-        calendar: CompletionCalendar | None = None,
+        running: _t.Sequence[Job],
+        calendar: CompletionCalendar,
     ) -> list[tuple[Job, list[WLMNode]]]:
-        """Return (job, nodes) placements to start now."""
+        """Return (job, nodes) placements to start now.  ``calendar``
+        holds the projected ends of the ``running`` jobs; the index reads
+        the calendar, the linear reference sorts ``running``."""
         decisions: list[tuple[Job, list[WLMNode]]] = []
         pending = sorted(
             queue, key=lambda j: (-j.spec.priority, j.submit_time, j.job_id)
@@ -260,50 +244,35 @@ class BackfillScheduler:
         if not pending:
             return decisions
 
-        index = _AvailabilityIndex(nodes) if self.indexed else None
+        index = _AvailabilityIndex(nodes)
         positions: dict[int, int] | None = None
 
         blocked_at: float | None = None  # shadow time of the blocked head job
-        for i, job in enumerate(pending):
-            if index is not None:
-                placement = index.place(job.spec)
-            else:
-                placement = self._fits(job, nodes)
-            if placement is not None:
+        for job in pending:
+            placement = index.place(job.spec)
+            if placement is None:
                 if blocked_at is None:
-                    # Head of (remaining) queue: start immediately.
-                    pass
-                else:
-                    # Backfill: must finish before the reservation.
-                    if not self.backfill or now + job.spec.time_limit > blocked_at:
-                        if index is not None:
-                            # place() consumed the candidates' heap
-                            # entries; re-index so later jobs in this
-                            # pass still see these (unallocated) nodes.
-                            if positions is None:
-                                positions = {id(n): pos for pos, n in enumerate(nodes)}
-                            for n in placement:
-                                index.touch(positions[id(n)])
-                        continue
+                    blocked_at = self._shadow_time(job, now, calendar, index)
                     if _metrics.registry.enabled:
-                        # A start *behind* a blocked head is a backfill win.
-                        _metrics.inc("wlm.backfill.starts")
+                        _metrics.inc("wlm.sched.head_blocked")
+                continue
+            # The head of the (remaining) queue starts immediately; a job
+            # behind a blocked head must finish before its reservation.
+            if blocked_at is None or (
+                self.backfill and now + job.spec.time_limit <= blocked_at
+            ):
+                if blocked_at is not None and _metrics.registry.enabled:
+                    # A start *behind* a blocked head is a backfill win.
+                    _metrics.inc("wlm.backfill.starts")
                 decisions.append((job, placement))
                 for n in placement:
                     n.allocate(job.job_id, job.spec.cores_per_node or n.total_cores)
-                if index is not None:
-                    if positions is None:
-                        positions = {id(n): pos for pos, n in enumerate(nodes)}
-                    for n in placement:
-                        index.touch(positions[id(n)])
-            elif blocked_at is None:
-                blocked_at = self._shadow_time(
-                    job, nodes, running, now, calendar=calendar, index=index
-                )
-                if blocked_at is None:
-                    blocked_at = float("inf")
-                if _metrics.registry.enabled:
-                    _metrics.inc("wlm.sched.head_blocked")
+            # place() consumed the candidates' heap entries; re-index them,
+            # allocated or not, so later jobs in this pass see them.
+            if positions is None:
+                positions = {id(n): pos for pos, n in enumerate(nodes)}
+            for n in placement:
+                index.touch(positions[id(n)])
         # Undo the tentative allocations; the controller re-applies them.
         for job, placement in decisions:
             for n in placement:
@@ -312,35 +281,13 @@ class BackfillScheduler:
 
     @staticmethod
     def _shadow_time(
-        job: Job,
-        nodes: list[WLMNode],
-        running: _t.Sequence[Job],
-        now: float,
-        calendar: CompletionCalendar | None = None,
-        index: "_AvailabilityIndex | None" = None,
-    ) -> float | None:
+        job: Job, now: float, calendar: CompletionCalendar, index: _AvailabilityIndex
+    ) -> float:
         """Earliest time the blocked job could start, assuming running
-        jobs end at their time limits."""
-        if index is not None:
-            free = index.idle_count(job.spec.partition)
-        else:
-            free = sum(
-                1
-                for n in nodes
-                if n.partition == job.spec.partition and n.state is NodeState.IDLE
-            )
-        needed = job.spec.nodes - free
+        jobs end at their time limits (``inf`` if never)."""
+        needed = job.spec.nodes - index.idle_count(job.spec.partition)
         if needed <= 0:
             return now
-        if calendar is not None:
-            if needed > len(calendar):
-                return None
-            return calendar.kth_end(needed - 1)
-        ends = sorted(
-            (r.start_time or now) + r.spec.time_limit
-            for r in running
-            if r.start_time is not None
-        )
-        if needed > len(ends):
-            return None
-        return ends[needed - 1]
+        if needed > len(calendar):
+            return float("inf")
+        return calendar.kth_end(needed - 1)

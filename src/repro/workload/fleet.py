@@ -37,8 +37,8 @@ therefore
 - batches time into epochs: one simulator event per epoch drives an
   exact two-stream merge of arrivals (precomputed trace arrays) and
   completions (a calendar of per-epoch buckets) — virtual-time results
-  are *identical* to one-event-per-start execution, verified by the
-  ``naive`` mode below;
+  are *identical* to one-event-per-start execution, verified against
+  the reference engine in ``tests/oracles/fleet.py``;
 - pools container records in slotted parallel arrays with a free list —
   no per-start object allocation, no retained per-container history;
 - places starts through :class:`~repro.cluster.capacity.CapacityIndex`
@@ -49,10 +49,10 @@ therefore
   (:meth:`~repro.obs.metrics.MetricsRegistry.series_key`) so the
   per-start path never rebuilds label dicts.
 
-``FleetConfig(naive=True)`` runs the pre-optimization implementation —
-one event per arrival and completion, linear capacity scans, per-start
-dict records and label formatting — byte-identical results, an order of
-magnitude slower.  ``benchmarks/bench_fleet.py`` records the ratio.
+``tests/oracles/fleet.py`` keeps the pre-optimization engine as a test
+oracle — one event per arrival and completion, linear capacity scans —
+byte-identical results, an order of magnitude slower.
+``benchmarks/bench_fleet.py`` records the ratio.
 
 **Chaos.**  A :class:`~repro.faults.plan.FaultPlan` can be delivered
 into a fleet run (``python -m repro fleet --chaos`` / ``--faults``).
@@ -64,7 +64,7 @@ jitter-free backoff and charge :class:`TenantStats.failed` when the
 :func:`fleet_node_name`): the engine merges the plan's crash/restore
 edges as a third stream into the epoch merge (edges win ties over
 completions, completions over arrivals — exactly the URGENT-before-
-NORMAL order of the naive engine, so fast-vs-naive equivalence holds
+NORMAL order of the event-per-start oracle, so the equivalence holds
 under chaos too).  A crash kills every slot on the node (their starts
 requeue through placement, the capacity ledger forgets the node), a
 restore returns the node fully free; slot records are generation-
@@ -84,7 +84,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from repro.cluster.capacity import CapacityIndex, LinearCapacityScan
+from repro.cluster.capacity import CapacityIndex
 from repro.faults.injector import injector as _faults
 from repro.faults.plan import PUSH_KINDS, FaultEvent, FaultKind, FaultPlan
 from repro.faults.retry import RetryExhausted, RetryPolicy
@@ -97,7 +97,6 @@ from repro.registry.distribution import (
 from repro.registry.quota import QuotaManager
 from repro.sim import Environment
 from repro.sim import profile as _profile
-from repro.sim.events import Event
 from repro.sim.rng import DeterministicRNG
 from repro.workload.generators import (
     DiurnalProfile,
@@ -134,8 +133,7 @@ class FleetConfig:
     at ``unpack_bandwidth``).  Execution knobs: ``shards`` fixes the
     cell partition (NOT the worker count), ``epoch`` is the fast
     engine's batching grain (results are exact, not approximated, at any
-    epoch length), and ``naive=True`` swaps in the retained
-    pre-optimization engine — same results, one event per start.
+    epoch length).
     """
 
     tenants: int = 64
@@ -155,13 +153,20 @@ class FleetConfig:
     unpack_bandwidth: float = 400e6
     shards: int = 8
     amplitude: float = 0.6
-    naive: bool = False
 
     def __post_init__(self) -> None:
         if self.tenants < 1 or self.nodes < 1 or self.images < 1:
             raise ValueError("tenants, nodes and images must all be >= 1")
         if self.starts < 0:
             raise ValueError(f"starts must be >= 0, got {self.starts}")
+        if self.zipf_s < 0 or self.tenant_skew < 0:
+            raise ValueError("zipf_s and tenant_skew must be >= 0")
+        if self.duration_mean <= 0 or self.unpack_bandwidth <= 0:
+            raise ValueError("duration_mean and unpack_bandwidth must be positive")
+        if self.node_cpus < 1:
+            raise ValueError(f"node_cpus must be >= 1, got {self.node_cpus}")
+        if self.warm_start_s < 0:
+            raise ValueError(f"warm_start_s must be >= 0, got {self.warm_start_s}")
         if max(self.cpu_choices) > self.node_cpus:
             raise ValueError(
                 f"largest request ({max(self.cpu_choices)} cpus) exceeds "
@@ -176,11 +181,14 @@ class FleetConfig:
 
     # -- serialization (cells carry the config as a JSON string) ------------
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        # repro-fleet-report/2 and repro-fleet-replay-report/1 pin this key
+        data = {**dataclasses.asdict(self), "naive": False}
+        return json.dumps(data, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FleetConfig":
         data = json.loads(text)
+        data.pop("naive", None)
         for field in ("cpu_choices", "cpu_shares"):
             data[field] = tuple(data[field])
         return cls(**data)
@@ -588,8 +596,7 @@ class FleetShardEngine:
         self._build_registry()
         self._generate_trace()
         # -- placement + node caches ---------------------------------------
-        index_cls = LinearCapacityScan if config.naive else CapacityIndex
-        self.index = index_cls(self.n_nodes, config.node_cpus)
+        self.index = CapacityIndex(self.n_nodes, config.node_cpus)
         self.node_images: list[set[str]] = [set() for _ in range(self.n_nodes)]
         self.node_layers: list[set[str]] = [set() for _ in range(self.n_nodes)]
         # -- pooled slot records (parallel arrays + free list) --------------
@@ -620,14 +627,12 @@ class FleetShardEngine:
         #: is skipped wholesale on the disarmed hot path — with no crash
         #: edges every generation stays 0, so the records are identical
         self._armed = bool(self._fault_edges)
-        self._edge_i = 0
         self._crashes = 0
         self._requeues = 0
         self._last_requeues = 0
         self._last_failed = 0
         self._last_retries = 0
         # -- hot-loop constants (one attribute hop instead of a chain) ------
-        self._naive = config.naive
         self._epoch_len = config.epoch
         self._warm_start_s = config.warm_start_s
         self._inv_unpack = 1.0 / config.unpack_bandwidth
@@ -643,12 +648,9 @@ class FleetShardEngine:
         self.result.demand_bytes = int(
             np.asarray(self.catalog.compressed_sizes)[self._image_arr].sum()
         ) if self.n_starts else 0
-        self._naive_records: list[dict] = []  # naive mode only, by design
-        #: time-series sampling (fast mode only: the retained naive engine
-        #: predates the recorder and must keep producing identical reports)
         self._rec = _timeseries.recorder
         self._metric_keys = None
-        if _metrics.registry.enabled and not config.naive:
+        if _metrics.registry.enabled:
             reg = _metrics.registry
             self._metric_keys = [
                 (reg.series_key("fleet.starts", tenant=f"t{gid:05}"),
@@ -772,13 +774,9 @@ class FleetShardEngine:
     # -- the run -------------------------------------------------------------
     def run(self) -> FleetShardResult:
         if self.n_starts or self._fault_edges:
-            if self.config.naive:
-                self._naive_schedule_edges()
-                self._naive_schedule_arrivals()
-            else:
-                self.env.process(self._pump(), name=f"fleet-pump-{self.shard}")
+            self.env.process(self._pump(), name=f"fleet-pump-{self.shard}")
             self.env.run()
-            if not self._naive and self._rec.due(self.env.now):
+            if self._rec.due(self.env.now):
                 self._sample_timeseries(self._rec)  # final-state tick
         res = self.result
         res.crashes = self._crashes
@@ -847,10 +845,8 @@ class FleetShardEngine:
         slot_gen = self._slot_gen
         armed = self._armed
         prof = _profile.counters
-        i = 0
-        while (i < n or self._cal_size or self._local_heap or pending
-               or self._edge_i < ne):
-            e = self._edge_i
+        i = e = 0
+        while i < n or self._cal_size or self._local_heap or pending or e < ne:
             # next epoch with work: earliest arrival, completion bucket,
             # or fault edge
             epoch = None
@@ -887,9 +883,9 @@ class FleetShardEngine:
                 j += 1
             # exact three-stream merge; fault edges win all ties and
             # completions win ties over arrivals (free before place) —
-            # matching the naive event ordering: edges are init-scheduled
-            # URGENT events (lowest seq), completions run-scheduled
-            # URGENT, arrivals NORMAL
+            # the event order of one-event-per-start execution: edges
+            # are init-scheduled URGENT events (lowest seq), completions
+            # run-scheduled URGENT, arrivals NORMAL
             complete = self._complete
             arrive = self._arrive
             k = i
@@ -900,7 +896,6 @@ class FleetShardEngine:
                     if (et < boundary and (not local or et <= local[0][0])
                             and (k >= j or et <= times[k])):
                         e += 1
-                        self._edge_i = e
                         self._deliver_edge(edge)
                         continue
                 if local and (k >= j or local[0][0] <= times[k]):
@@ -928,7 +923,7 @@ class FleetShardEngine:
                     prof.live_objects_peak = live
 
     def _sample_timeseries(self, rec: "_timeseries.TimeSeriesRecorder") -> None:
-        """One sampler tick, inline at an epoch boundary (fast mode).
+        """One sampler tick, inline at an epoch boundary.
 
         The fleet pump is its own clock — one simulator event per epoch —
         so instead of a sampler process it ticks the recorder directly
@@ -1058,22 +1053,16 @@ class FleetShardEngine:
         self._cal_size += 1
         gen = self._slot_gen[slot] if armed else 0
         record = (end, seq, slot, gen)
-        if self._naive:
-            event = Event(self.env)
-            event.callbacks.append(self._naive_completion)
-            event._value = (slot, end, gen)
-            self.env._schedule_at(event, end, priority=Environment.URGENT)
+        epoch = int(end // self._epoch_len)
+        if epoch == self._local_epoch:
+            heappush(self._local_heap, record)
         else:
-            epoch = int(end // self._epoch_len)
-            if epoch == self._local_epoch:
-                heappush(self._local_heap, record)
+            bucket = self._calendar.get(epoch)
+            if bucket is None:
+                self._calendar[epoch] = [record]
+                heappush(self._cal_heap, epoch)
             else:
-                bucket = self._calendar.get(epoch)
-                if bucket is None:
-                    self._calendar[epoch] = [record]
-                    heappush(self._cal_heap, epoch)
-                else:
-                    bucket.append(record)
+                bucket.append(record)
         if end > self._makespan:
             self._makespan = end
         stats.starts += 1
@@ -1089,17 +1078,7 @@ class FleetShardEngine:
                 break
         else:
             hist[-1] += 1
-        if self._naive:
-            # pre-optimization behaviour: a retained dict per container
-            # and label dicts rebuilt for every metric increment
-            self._naive_records.append({
-                "tenant": self.tenant_ids[tloc], "image": img, "node": node,
-                "cpus": req, "end": end,
-            })
-            reg = _metrics.registry
-            if reg.enabled:
-                reg.inc("fleet.starts", tenant=f"t{self.tenant_ids[tloc]:05}")
-        elif self._metric_keys is not None:
+        if self._metric_keys is not None:
             _metrics.registry.inc_series(self._metric_keys[tloc][0])
 
     def _cold_pull(self, tloc: int, img: int, node: int, t: float,
@@ -1137,10 +1116,6 @@ class FleetShardEngine:
         stats.pulled_bytes += missing
         if self._metric_keys is not None:
             _metrics.registry.inc_series(self._metric_keys[tloc][1])
-        elif self._naive and _metrics.registry.enabled:
-            _metrics.registry.inc(
-                "fleet.cold_pulls", tenant=f"t{self.tenant_ids[tloc]:05}"
-            )
         return elapsed + cost + missing * self._inv_unpack + self._warm_start_s
 
     def _complete(self, slot: int, end_t: float) -> None:
@@ -1185,57 +1160,6 @@ class FleetShardEngine:
                 break
             pending.popleft()
             self._place(k, arrival_t, place_t, node, req)
-
-    # -- naive (pre-optimization) drivers ------------------------------------
-    def _naive_schedule_arrivals(self) -> None:
-        """One simulator event per arrival, straight onto the heap."""
-        env = self.env
-        for k, t in enumerate(self._times):
-            event = Event(env)
-            event.callbacks.append(self._naive_arrival)
-            event._value = k
-            env._schedule_at(event, t)
-
-    def _naive_schedule_edges(self) -> None:
-        """Fault edges as plain URGENT events.  Scheduled before the
-        arrivals (and before any run-time completion), so at equal times
-        their lower sequence numbers deliver them first — the tie order
-        the fast pump's three-stream merge reproduces."""
-        env = self.env
-        for edge in self._fault_edges:
-            event = Event(env)
-            event.callbacks.append(self._naive_edge)
-            event._value = edge
-            env._schedule_at(event, edge[0], priority=Environment.URGENT)
-        self._edge_i = len(self._fault_edges)
-
-    def _naive_arrival(self, event: Event) -> None:
-        k = _t.cast(int, event._value)
-        self._arrive(k, self._times[k])
-        self._note_naive_pressure()
-
-    def _naive_completion(self, event: Event) -> None:
-        slot, end, gen = _t.cast(tuple, event._value)
-        if self._slot_gen[slot] != gen:
-            return  # slot killed by a crash; counted at kill time
-        self._cal_size -= 1
-        self._complete(slot, end)
-        self._note_naive_pressure()
-
-    def _naive_edge(self, event: Event) -> None:
-        self._deliver_edge(_t.cast(tuple, event._value))
-        self._note_naive_pressure()
-
-    def _note_naive_pressure(self) -> None:
-        prof = _profile.counters
-        if prof.enabled:
-            env = self.env
-            depth = len(env._queue) + len(env._immediate) + len(self._pending)
-            if depth > prof.event_queue_peak:
-                prof.event_queue_peak = depth
-            live = self._live + len(self._pending)
-            if live > prof.live_objects_peak:
-                prof.live_objects_peak = live
 
 
 def run_fleet_shard(

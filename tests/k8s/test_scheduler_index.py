@@ -1,9 +1,9 @@
 """Property test: the indexed scheduler equals the linear-scan oracle.
 
 The indexed path (pending queue + lazy-deletion node heap) is a pure
-perf rewrite of the retained ``indexed=False`` linear pass; for any
-node fleet and pod stream the two must produce identical bindings,
-stats and node allocations at identical virtual times.
+perf rewrite of the linear pass in ``tests/oracles/control_plane.py``;
+for any node fleet and pod stream the two must produce identical
+bindings, stats and node allocations at identical virtual times.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -21,6 +21,7 @@ from repro.k8s import (
 )
 from repro.k8s.objects import NodeCondition
 from repro.sim import Environment
+from tests.oracles.control_plane import LinearK8sScheduler
 
 ZONES = ("a", "b")
 
@@ -71,12 +72,12 @@ pod_strategy = st.lists(
 )
 
 
-def run_mode(indexed, nodes_data, pods_data):
+def run_mode(scheduler_cls, nodes_data, pods_data):
     env = Environment()
     api = APIServer()
     for i, (cpu, gpu, ready, zone) in enumerate(nodes_data):
         api.create("Node", make_node(f"n{i:02}", cpu, gpu, ready, zone))
-    sched = K8sScheduler(env, api, indexed=indexed)
+    sched = scheduler_cls(env, api)
 
     def driver(env):
         pods = []
@@ -111,6 +112,6 @@ def run_mode(indexed, nodes_data, pods_data):
 @settings(max_examples=30, deadline=None)
 @given(node_strategy, pod_strategy)
 def test_indexed_scheduler_matches_linear_oracle(nodes_data, pods_data):
-    indexed = run_mode(True, nodes_data, pods_data)
-    linear = run_mode(False, nodes_data, pods_data)
+    indexed = run_mode(K8sScheduler, nodes_data, pods_data)
+    linear = run_mode(LinearK8sScheduler, nodes_data, pods_data)
     assert indexed == linear

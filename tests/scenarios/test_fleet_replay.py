@@ -1,7 +1,6 @@
 """Fleet→scenario replay bridge: determinism, parallel identity, and
-fast-vs-naive equivalence on a small fleet."""
+equality with the linear control-plane oracle on a small fleet."""
 
-import dataclasses
 import json
 
 from repro.scenarios.fleet_replay import (
@@ -9,6 +8,7 @@ from repro.scenarios.fleet_replay import (
     run_fleet_replay,
 )
 from repro.workload.fleet import FleetConfig
+from tests.oracles.control_plane import control_plane_oracle
 
 SMALL = FleetConfig(
     tenants=3, nodes=6, starts=30, images=4, seed=1, shards=2, day=600.0
@@ -42,9 +42,6 @@ def test_replay_is_deterministic_and_jobs_invariant():
 
 
 def test_replay_fast_matches_naive_oracle():
-    fast = json.loads(doc_json(SMALL))
-    naive = json.loads(doc_json(dataclasses.replace(SMALL, naive=True)))
-    # the only allowed difference is the config flag itself
-    assert fast["config"].pop("naive") is False
-    assert naive["config"].pop("naive") is True
-    assert fast == naive
+    fast = doc_json(SMALL)
+    with control_plane_oracle():
+        assert doc_json(SMALL) == fast

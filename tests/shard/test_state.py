@@ -1,8 +1,12 @@
 """World-state capture/install, prefix replay, and warm snapshots."""
 
+import ast
 import dataclasses
+import pathlib
 
 import pytest
+
+import repro
 
 from repro.shard.state import (
     COUNTER_SITES,
@@ -19,6 +23,24 @@ def _world_guard():
     saved = WorldState.capture()
     yield
     saved.install()
+
+
+def test_every_module_level_id_counter_is_registered():
+    """A module-global ``itertools.count`` that WorldState does not save
+    and restore breaks ``--jobs N`` byte-identity; register it in
+    ``COUNTER_SITES``."""
+    root = pathlib.Path(repro.__file__).parent
+    found = set()
+    for path in root.rglob("*.py"):
+        module = ".".join(("repro", *path.relative_to(root).with_suffix("").parts))
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and isinstance(node.value, ast.Call)
+                    and ast.unparse(node.value.func) == "itertools.count"):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.update((module, t.id) for t in targets if isinstance(t, ast.Name))
+    assert found, "the scan found no counter at all"
+    assert not found - set(COUNTER_SITES), f"unregistered: {found - set(COUNTER_SITES)}"
 
 
 def test_capture_is_non_destructive():

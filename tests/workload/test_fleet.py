@@ -5,6 +5,7 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.faults import find_leaks
@@ -16,10 +17,12 @@ from repro.workload.fleet import (
     FleetShardEngine,
     fleet_cells,
     fleet_report_document,
+    generate_fleet_plan,
     merge_shard_results,
     render_fleet_summary,
     run_fleet,
 )
+from tests.oracles.fleet import fleet_oracle
 
 #: small enough for unit tests, big enough to exercise queueing + cold pulls
 SMALL = FleetConfig(tenants=8, nodes=16, starts=400, images=6, shards=4)
@@ -35,8 +38,9 @@ def _profile_clean():
 # -- config -------------------------------------------------------------------
 
 def test_config_json_roundtrip():
-    config = dataclasses.replace(SMALL, zipf_s=1.7, naive=True)
+    config = dataclasses.replace(SMALL, zipf_s=1.7)
     assert FleetConfig.from_json(config.to_json()) == config
+    assert json.loads(config.to_json())["naive"] is False  # report schema key
 
 
 @pytest.mark.parametrize("bad", [
@@ -46,6 +50,12 @@ def test_config_json_roundtrip():
     dict(cpu_choices=(1, 2), cpu_shares=(1.0,)),
     dict(epoch=0.0),
     dict(shards=0),
+    dict(zipf_s=-1.0),
+    dict(tenant_skew=-0.1),
+    dict(duration_mean=0.0),
+    dict(unpack_bandwidth=0.0),
+    dict(node_cpus=0, cpu_choices=(1,), cpu_shares=(1.0,)),
+    dict(warm_start_s=-0.1),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -71,14 +81,24 @@ def test_double_run_is_deterministic():
     assert first == second
 
 
-def test_naive_mode_matches_optimized_engine():
-    fast = fleet_report_document(run_fleet(SMALL))
-    naive = fleet_report_document(
-        run_fleet(dataclasses.replace(SMALL, naive=True))
-    )
-    assert naive["config"].pop("naive") is True
-    assert fast["config"].pop("naive") is False
-    assert fast == naive
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    zipf_s=st.sampled_from((0.0, 0.8, 1.6)),
+    epoch=st.sampled_from((0.25, 1.0, 7.5)),
+    shape=st.sampled_from(((16, 8), (3, 4), (2, 8))),  # (nodes, node_cpus)
+    chaos=st.booleans(),
+)
+def test_naive_mode_matches_optimized_engine(seed, zipf_s, epoch, shape, chaos):
+    """The epoch-batched engine equals the event-per-start oracle at any
+    epoch length, pending-heavy or not, under a fault plan or not."""
+    config = FleetConfig(tenants=4, nodes=shape[0], node_cpus=shape[1],
+                         starts=150, images=4, shards=2, seed=seed,
+                         zipf_s=zipf_s, epoch=epoch)
+    plan = generate_fleet_plan(config) if chaos else None
+    fast = fleet_report_document(run_fleet(config, plan=plan))
+    with fleet_oracle():
+        assert fleet_report_document(run_fleet(config, plan=plan)) == fast
 
 
 def test_parallel_jobs_byte_identical():
@@ -139,9 +159,10 @@ def test_fleet_surfaces_queue_and_liveness_peaks(_profile_clean):
     snap = profile.counters.snapshot()
     assert snap["event_queue_peak"] > 0
     assert snap["live_objects_peak"] > 0
-    # naive mode reports the same pressure through the per-event path
+    # the event-per-start oracle reports the same pressure
     profile.counters.reset()
-    run_fleet(dataclasses.replace(SMALL, naive=True))
+    with fleet_oracle():
+        run_fleet(SMALL)
     naive_snap = profile.counters.snapshot()
     assert naive_snap["live_objects_peak"] == snap["live_objects_peak"]
 
@@ -201,5 +222,7 @@ def test_cli_fleet_jobs_output_identical(capsys, tmp_path):
 
 
 def test_cli_fleet_rejects_bad_config(capsys):
-    assert main(["fleet", "--tenants", "0"]) == 2
-    assert "bad fleet config" in capsys.readouterr().err
+    for verb in ("fleet", "replay"):
+        for bad in (["--tenants", "0"], ["--zipf", "-1"]):
+            assert main([verb, *bad]) == 2
+            assert f"bad {verb} config" in capsys.readouterr().err

@@ -2,10 +2,11 @@
 
 The contracts under test mirror the non-chaos fleet suite: determinism
 (double runs byte-identical), shard transparency (``--jobs N`` equals
-serial, including the scorecard), fast-vs-naive equivalence, and the
-§3.2 no-lingering-state property — a crashed-then-restored node must
-leave the capacity ledger and the leak audit clean for *any* seeded
-plan, which is what the hypothesis property at the bottom sweeps.
+serial, including the scorecard), equality with the event-per-start
+oracle, and the §3.2 no-lingering-state property — a crashed-then-
+restored node must leave the capacity ledger and the leak audit clean
+for *any* seeded plan, which is what the hypothesis property at the
+bottom sweeps.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from repro.workload.fleet import (
     run_fleet,
     score_fleet_slo,
 )
+from tests.oracles.fleet import fleet_oracle
 
 SMALL = FleetConfig(tenants=8, nodes=16, starts=400, images=6, shards=4)
 
@@ -84,12 +86,8 @@ def test_node_crash_requeues_and_drains_clean():
 def test_fast_matches_naive_under_chaos():
     plan = generate_fleet_plan(SMALL, seed=SEED)
     fast = fleet_report_document(run_fleet(SMALL, plan=plan))
-    naive = fleet_report_document(
-        run_fleet(dataclasses.replace(SMALL, naive=True), plan=plan)
-    )
-    assert naive["config"].pop("naive") is True
-    assert fast["config"].pop("naive") is False
-    assert fast == naive
+    with fleet_oracle():
+        assert fleet_report_document(run_fleet(SMALL, plan=plan)) == fast
 
 
 def test_chaos_double_run_and_jobs_byte_identical():
