@@ -21,22 +21,177 @@
     python -m repro slo kubelet_in_allocation --seed 42 --out scorecard.json
                                        # chaos run sampled in virtual time and
                                        # scored against declarative SLO rules
+
+Each flag group is declared once (``_*_flags``) and attached to the verbs
+that take it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
+import math
 import sys
 import typing as _t
 
 from repro.core.requirements import SiteRequirements
+from repro.obs.timeseries import DEFAULT_INTERVAL
 
 _PROFILES = {
     "conservative": SiteRequirements.conservative_center,
     "hardened": SiteRequirements.security_hardened_center,
     "cloud": SiteRequirements.cloud_converged_center,
 }
+
+#: artifact-note layouts: ``{name}``, ``{label}`` (``name:``) and ``{path}``
+_CHAOS_NOTE = "  {label:<17}{path}"
+_FLEET_NOTE = "  {label:<12}{path}"
+
+
+class _UsageError(Exception):
+    """Bad input found after parsing: one line on stderr, exit status 2."""
+
+
+# -- shared handler helpers ---------------------------------------------------
+
+
+def _note(fmt: str, name: str, path: str) -> None:
+    print(fmt.format(name=name, label=f"{name}:", path=path))
+
+
+def _artifact(fmt: str, name: str, path: str, text: str) -> None:
+    """Write one text artifact (newline-terminated) and note its path."""
+    with open(path, "w") as fh:
+        fh.write(text)
+        fh.write("\n")
+    _note(fmt, name, path)
+
+
+def _obs_tail(args: argparse.Namespace, fmt: str) -> None:
+    """The verbs' shared ending: ``--timeseries``, then ``--metrics`` and
+    ``--metrics-out``; afterwards the recorder is disarmed and it and the
+    registry are emptied.  The sim-core profile counters are left as the
+    run set them."""
+    from repro.obs import metrics as obs_metrics
+    from repro.obs import timeseries as obs_timeseries
+
+    if getattr(args, "timeseries", None):
+        _artifact(fmt, "timeseries", args.timeseries, obs_timeseries.recorder.to_json())
+    obs_timeseries.disable()
+    obs_timeseries.reset()
+    if args.metrics:
+        print()
+        print(obs_metrics.registry.render_table())
+    if args.metrics_out:
+        _artifact(fmt, "metrics", args.metrics_out, json.dumps(
+            {"schema": "repro-metrics/1", "series": obs_metrics.registry.snapshot()},
+            indent=2, sort_keys=True))
+    obs_metrics.registry.reset()
+
+
+def _arm_merge(args: argparse.Namespace, interval: float | None) -> bool:
+    """Empty what a sharded run merges into — the registry and sim-core
+    counters when metrics are wanted, the recorder when sampling — and
+    return whether metrics are wanted."""
+    want_metrics = args.metrics or bool(args.metrics_out)
+    if want_metrics:
+        from repro.obs import metrics as obs_metrics
+        from repro.sim import profile as sim_profile
+
+        sim_profile.counters.reset()
+        obs_metrics.registry.reset()
+    if interval is not None:
+        from repro.obs import timeseries as obs_timeseries
+
+        obs_timeseries.reset()
+    return want_metrics
+
+
+def _sample_interval(args: argparse.Namespace, sample: bool = False) -> float | None:
+    """``--sample-interval``, else the default when ``--timeseries`` (or
+    ``sample``) asks for samples without naming a grid; None: no sampling."""
+    if args.sample_interval is not None:
+        return args.sample_interval
+    return DEFAULT_INTERVAL if sample or args.timeseries else None
+
+
+def _scenario(args: argparse.Namespace) -> type:
+    from repro.shard.cells import resolve_scenario
+
+    if args.scenario is None:
+        raise _UsageError("a scenario name is required (or --list)")
+    try:
+        return resolve_scenario(args.scenario)
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
+
+
+def _load(cls: type, path: str, flag: str):
+    """``cls.from_file(path)``; a missing or malformed file is a usage error."""
+    try:
+        return cls.from_file(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _UsageError(f"{flag} {path}: {exc}") from None
+
+
+def _seeded_plan(args: argparse.Namespace):
+    """The default scenario fault plan for ``--seed`` on ``--nodes`` nodes."""
+    from repro.faults.plan import FaultPlan
+
+    node_names = [f"nid{i:04}" for i in range(args.nodes)]
+    return FaultPlan.generate(seed=args.seed, horizon=600.0, node_names=node_names)
+
+
+def _plan(args: argparse.Namespace, generate=None):
+    """The run's fault plan: ``--faults FILE``, else ``generate(args)``, else
+    None; written to ``--save-plan`` when the verb takes it and it is set."""
+    from repro.faults.plan import FaultPlan
+
+    if args.faults:
+        plan = _load(FaultPlan, args.faults, "--faults")
+    else:
+        plan = generate(args) if generate else None
+    if getattr(args, "save_plan", None):
+        if plan is None:
+            raise _UsageError("--save-plan needs --chaos or --faults")
+        plan.to_file(args.save_plan)
+        print(f"fault plan ({len(plan)} events) written to {args.save_plan}")
+    return plan
+
+
+def _fleet_config(args: argparse.Namespace):
+    from repro.workload.fleet import FleetConfig
+
+    try:
+        return FleetConfig(
+            tenants=args.tenants, nodes=args.nodes, starts=args.starts,
+            images=args.images, zipf_s=args.zipf, seed=args.seed,
+            shards=args.shards, day=args.day,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"bad {args.command} config: {exc}") from None
+
+
+def _trace_invalid(doc: str) -> bool:
+    """Validate an exported Chrome trace; report each problem on stderr."""
+    from repro.obs.export import validate_chrome_trace
+
+    problems = validate_chrome_trace(json.loads(doc))
+    for p in problems:
+        print(f"invalid trace: {p}", file=sys.stderr)
+    return bool(problems)
+
+
+def _print_scenario_list() -> int:
+    from repro.shard.cells import scenario_table
+
+    for name in sorted({cls.name for cls in scenario_table().values()}):
+        print(name)
+    return 0
+
+
+# -- verb handlers ------------------------------------------------------------
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -69,15 +224,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     from repro.scenarios.evaluate import summary_rows
     from repro.shard import ObsConfig, WarmSnapshot, run_cells, scenario_matrix
 
-    if args.list:
-        return _print_scenario_list()
-    want_metrics = args.metrics or bool(args.metrics_out)
-    if want_metrics:
-        from repro.obs import metrics as obs_metrics
-        from repro.sim import profile as sim_profile
-
-        sim_profile.counters.reset()
-        obs_metrics.registry.reset()
+    want_metrics = _arm_merge(args, None)
     result = run_cells(
         scenario_matrix(n_nodes=args.nodes, n_pods=args.pods),
         jobs=args.jobs,
@@ -90,28 +237,20 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     for m in metrics:
         for note in m.notes:
             print(f"  [{m.scenario}] {note}")
-    if want_metrics:
-        if args.metrics:
-            print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"  metrics: {args.metrics_out}")
-        obs_metrics.registry.reset()
+    _obs_tail(args, "  {label} {path}")
     return 0
 
 
 def _cmd_startup(args: argparse.Namespace) -> int:
     from repro.cluster import HostNode
     from repro.engines import ALL_ENGINES, DockerEngine, EnrootEngine
+    from repro.obs import metrics as obs_metrics
     from repro.oci import Builder
     from repro.oci.catalog import BaseImageCatalog
     from repro.registry import OCIDistributionRegistry
 
     want_metrics = args.metrics or bool(args.metrics_out)
     if want_metrics:
-        from repro.obs import metrics as obs_metrics
-
         obs_metrics.enable()
     registry = OCIDistributionRegistry(name="cli")
     image = Builder(BaseImageCatalog()).build_dockerfile(
@@ -133,46 +272,17 @@ def _cmd_startup(args: argparse.Namespace) -> int:
         print(f"{engine.info.name:>15} {cold.startup_seconds:8.3f}s "
               f"{warm.startup_seconds:8.3f}s  {cold.container.rootfs.driver.name}")
     if want_metrics:
-        if args.metrics:
-            print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"metrics written to {args.metrics_out}")
         obs_metrics.disable()
-    return 0
-
-
-@functools.lru_cache(maxsize=1)
-def _scenario_classes() -> dict[str, type]:
-    """Scenario lookup accepting both hyphen and underscore spellings.
-
-    Memoized: the table is rebuilt from ``ALL_SCENARIOS`` once per
-    process instead of once per command invocation."""
-    from repro.shard.cells import scenario_table
-
-    return scenario_table()
-
-
-def _print_scenario_list() -> int:
-    for name in sorted({cls.name for cls in _scenario_classes().values()}):
-        print(name)
+    _obs_tail(args, "{name} written to {path}")
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
-    from repro.obs.export import validate_chrome_trace
     from repro.scenarios.evaluate import run_scenario
-    import json as _json
 
-    scenarios = _scenario_classes()
-    scenario_cls = scenarios.get(args.scenario)
-    if scenario_cls is None:
-        names = ", ".join(sorted(c.name for c in set(scenarios.values())))
-        print(f"unknown scenario {args.scenario!r}; one of: {names}", file=sys.stderr)
-        return 2
+    scenario_cls = _scenario(args)
     obs_trace.enable(wall_clock=args.wall)
     obs_metrics.enable()
     try:
@@ -181,105 +291,40 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     finally:
         obs_metrics.disable()
         obs_trace.disable()
-    problems = validate_chrome_trace(_json.loads(doc))
     tracer = obs_trace.tracer
     cats = ", ".join(sorted(tracer.categories()))
     print(f"{args.out}: {len(tracer)} span records across "
           f"{len(tracer.categories())} subsystems ({cats})")
     print(f"  scenario={metrics.scenario} pods={metrics.pods_completed}/"
           f"{metrics.pods_submitted} provision={metrics.provision_time:.1f}s")
-    if args.metrics:
-        print()
-        print(obs_metrics.registry.render_table())
-    if args.metrics_out:
-        _write_metrics_json(args.metrics_out)
-        print(f"  metrics written to {args.metrics_out}")
-    if problems:
-        for p in problems:
-            print(f"invalid trace: {p}", file=sys.stderr)
+    _obs_tail(args, "  {name} written to {path}")
+    if _trace_invalid(doc):
         return 1
     print("  open in https://ui.perfetto.dev (or chrome://tracing)")
     return 0
 
 
-def _write_chaos_report(reports: list, scenario: str, path: str) -> None:
-    import json as _json
-
-    from repro.faults.chaos import chaos_report_document
-
-    with open(path, "w") as fh:
-        fh.write(_json.dumps(chaos_report_document(reports, scenario), indent=2))
-        fh.write("\n")
-
-
-def _write_metrics_json(path: str) -> None:
-    """``--metrics-out``: the registry snapshot as a schema-tagged JSON doc."""
-    import json as _json
-
-    from repro.obs import metrics as obs_metrics
-
-    with open(path, "w") as fh:
-        fh.write(_json.dumps(
-            {"schema": "repro-metrics/1", "series": obs_metrics.registry.snapshot()},
-            indent=2, sort_keys=True))
-        fh.write("\n")
-
-
-def _write_timeseries_json(path: str) -> None:
-    """``--timeseries``: the sampled rings as a schema-tagged JSON doc."""
-    from repro.obs import timeseries as obs_timeseries
-
-    with open(path, "w") as fh:
-        fh.write(obs_timeseries.recorder.to_json())
-        fh.write("\n")
-
-
-def _sample_interval(args: argparse.Namespace):
-    """Effective sampling interval: ``--sample-interval``, or the default
-    when ``--timeseries PATH`` asks for an export without naming one."""
-    if args.sample_interval is not None:
-        return args.sample_interval
-    if getattr(args, "timeseries", None):
-        from repro.obs.timeseries import DEFAULT_INTERVAL
-
-        return DEFAULT_INTERVAL
-    return None
+def _chaos_tail(args: argparse.Namespace, trace_doc: str, report_doc: dict) -> int:
+    """Artifacts and exit status shared by single-seed chaos and sweeps."""
+    _note(_CHAOS_NOTE, "trace", args.trace)
+    if args.out:
+        _artifact(_CHAOS_NOTE, "report", args.out, json.dumps(report_doc, indent=2))
+    _obs_tail(args, _CHAOS_NOTE)
+    if _trace_invalid(trace_doc):
+        return 1
+    return 0 if report_doc["aggregate"]["clean"] else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.plan import FaultPlan
+    from repro.faults.chaos import chaos_report_document, run_chaos
     from repro.obs import metrics as obs_metrics
+    from repro.obs import timeseries as obs_timeseries
     from repro.obs import trace as obs_trace
-    from repro.obs.export import validate_chrome_trace
-    import json as _json
 
-    if args.list:
-        return _print_scenario_list()
-    if args.scenario is None:
-        print("a scenario name is required (or --list)", file=sys.stderr)
-        return 2
-    scenarios = _scenario_classes()
-    scenario_cls = scenarios.get(args.scenario)
-    if scenario_cls is None:
-        names = ", ".join(sorted(c.name for c in set(scenarios.values())))
-        print(f"unknown scenario {args.scenario!r}; one of: {names}", file=sys.stderr)
-        return 2
-
+    scenario_cls = _scenario(args)
     if args.seeds is not None:
         return _chaos_sweep(args, scenario_cls)
-
-    from repro.faults.chaos import run_chaos
-
-    if args.faults:
-        plan = FaultPlan.from_file(args.faults)
-    else:
-        node_names = [f"nid{i:04}" for i in range(args.nodes)]
-        plan = FaultPlan.generate(seed=args.seed, horizon=600.0, node_names=node_names)
-    if args.save_plan:
-        plan.to_file(args.save_plan)
-        print(f"fault plan ({len(plan)} events) written to {args.save_plan}")
-    from repro.obs import timeseries as obs_timeseries
-
+    plan = _plan(args, _seeded_plan)
     interval = _sample_interval(args)
     obs_trace.enable()
     obs_metrics.enable()
@@ -295,27 +340,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         obs_trace.disable()
         obs_timeseries.disable()
     print(report.render())
-    print(f"  trace:           {args.trace}")
-    if args.out:
-        _write_chaos_report([report], scenario_cls.name, args.out)
-        print(f"  report:          {args.out}")
-    if args.timeseries:
-        _write_timeseries_json(args.timeseries)
-        print(f"  timeseries:      {args.timeseries}")
-    if interval is not None:
-        obs_timeseries.reset()
-    if args.metrics:
-        print()
-        print(obs_metrics.registry.render_table())
-    if args.metrics_out:
-        _write_metrics_json(args.metrics_out)
-        print(f"  metrics:         {args.metrics_out}")
-    problems = validate_chrome_trace(_json.loads(doc))
-    if problems:
-        for p in problems:
-            print(f"invalid trace: {p}", file=sys.stderr)
-        return 1
-    return 0 if report.clean else 1
+    return _chaos_tail(args, doc, chaos_report_document([report], scenario_cls.name))
 
 
 def _chaos_sweep(args: argparse.Namespace, scenario_cls: type) -> int:
@@ -326,45 +351,26 @@ def _chaos_sweep(args: argparse.Namespace, scenario_cls: type) -> int:
     byte-identical output, trace files and report JSON.
     """
     from repro.faults.chaos import chaos_report_document
-    from repro.faults.plan import FaultPlan
-    from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
-    from repro.obs.export import validate_chrome_trace
-    from repro.shard import (
-        ObsConfig,
-        WarmSnapshot,
-        chaos_seed_sweep,
-        parse_seed_range,
-        run_cells,
-    )
+    from repro.shard import (ObsConfig, WarmSnapshot, chaos_seed_sweep,
+                             parse_seed_range, run_cells)
     import dataclasses as _dc
-    import json as _json
 
     try:
         seeds = parse_seed_range(args.seeds)
     except ValueError as exc:
-        print(f"bad --seeds: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"bad --seeds: {exc}") from None
     if args.save_plan:
-        print("--save-plan needs a single-seed run (drop --seeds)", file=sys.stderr)
-        return 2
+        raise _UsageError("--save-plan needs a single-seed run (drop --seeds)")
     cells = chaos_seed_sweep(
         scenario_cls.name, seeds, n_nodes=args.nodes, n_pods=args.pods
     )
-    if args.faults:
-        plan_json = FaultPlan.from_file(args.faults).to_json()
+    plan = _plan(args)
+    if plan is not None:
+        plan_json = plan.to_json()
         cells = [_dc.replace(cell, plan_json=plan_json) for cell in cells]
-    want_metrics = args.metrics or bool(args.metrics_out)
-    if want_metrics:
-        from repro.sim import profile as sim_profile
-
-        sim_profile.counters.reset()
-        obs_metrics.registry.reset()
     interval = _sample_interval(args)
-    if interval is not None:
-        from repro.obs import timeseries as obs_timeseries
-
-        obs_timeseries.reset()
+    want_metrics = _arm_merge(args, interval)
     obs_trace.tracer.reset()
     result = run_cells(
         cells,
@@ -394,31 +400,7 @@ def _chaos_sweep(args: argparse.Namespace, scenario_cls: type) -> int:
         print(f"  LEAKS:           {agg['leaks']} across {agg['runs']} run(s)")
     else:
         print(f"  leaks:           none across {agg['runs']} run(s)")
-    print(f"  trace:           {args.trace}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_json.dumps(report_doc, indent=2))
-            fh.write("\n")
-        print(f"  report:          {args.out}")
-    if args.timeseries:
-        _write_timeseries_json(args.timeseries)
-        print(f"  timeseries:      {args.timeseries}")
-    if interval is not None:
-        obs_timeseries.reset()
-    if want_metrics:
-        if args.metrics:
-            print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"  metrics:         {args.metrics_out}")
-        obs_metrics.registry.reset()
-    problems = validate_chrome_trace(_json.loads(doc_text))
-    if problems:
-        for p in problems:
-            print(f"invalid trace: {p}", file=sys.stderr)
-        return 1
-    return 0 if agg["clean"] else 1
+    return _chaos_tail(args, doc_text, report_doc)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -430,70 +412,26 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     exactly that.  ``--chaos`` / ``--faults`` deliver a fault plan into
     every shard; ``--slo`` scores the sampled ``fleet.*`` series.
     """
-    from repro.faults.plan import FaultPlan
-    from repro.obs import metrics as obs_metrics
     from repro.obs import timeseries as obs_timeseries
-    from repro.workload.fleet import (
-        FleetConfig,
-        fleet_report_document,
-        generate_fleet_plan,
-        render_fleet_summary,
-        run_fleet,
-        score_fleet_slo,
-    )
-    import json as _json
+    from repro.obs.slo import SloRuleSet
+    from repro.workload.fleet import (fleet_report_document, generate_fleet_plan,
+                                      render_fleet_summary, run_fleet, score_fleet_slo)
 
-    try:
-        config = FleetConfig(
-            tenants=args.tenants,
-            nodes=args.nodes,
-            starts=args.starts,
-            images=args.images,
-            zipf_s=args.zipf,
-            seed=args.seed,
-            shards=args.shards,
-            day=args.day,
-        )
-    except ValueError as exc:
-        print(f"bad fleet config: {exc}", file=sys.stderr)
-        return 2
+    config = _fleet_config(args)
     if args.faults and args.chaos:
-        print("--faults and --chaos are mutually exclusive", file=sys.stderr)
-        return 2
-    plan = None
-    if args.faults:
-        plan = FaultPlan.from_file(args.faults)
-    elif args.chaos:
-        plan = generate_fleet_plan(config, seed=args.seed)
-    if args.save_plan:
-        if plan is None:
-            print("--save-plan needs --chaos or --faults", file=sys.stderr)
-            return 2
-        plan.to_file(args.save_plan)
-        print(f"fault plan ({len(plan)} events) written to {args.save_plan}")
+        raise _UsageError("--faults and --chaos are mutually exclusive")
+    plan = _plan(args, (lambda a: generate_fleet_plan(config, seed=a.seed))
+                 if args.chaos else None)
     want_slo = args.slo or bool(args.slo_out)
-    want_metrics = args.metrics or bool(args.metrics_out)
-    if want_metrics:
-        from repro.sim import profile as sim_profile
-
-        sim_profile.counters.reset()
-        obs_metrics.registry.reset()
-    interval = _sample_interval(args)
-    if want_slo and interval is None:
-        from repro.obs.timeseries import DEFAULT_INTERVAL
-
-        interval = DEFAULT_INTERVAL
-    if interval is not None:
-        obs_timeseries.reset()
+    rules = _load(SloRuleSet, args.rules, "--rules") if want_slo and args.rules else None
+    interval = _sample_interval(args, sample=want_slo)
+    want_metrics = _arm_merge(args, interval)
     result = run_fleet(
         config, jobs=args.jobs, metrics=want_metrics, sample_interval=interval,
         plan=plan,
     )
     print(render_fleet_summary(result))
     if want_slo:
-        from repro.obs.slo import SloRuleSet
-
-        rules = SloRuleSet.from_file(args.rules) if args.rules else None
         # the cell merge appends points but not the interval — pin it so
         # the scorecard names the grid the cells actually sampled on
         obs_timeseries.recorder.enable(interval=interval, reset=False)
@@ -502,28 +440,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print()
         print(scorecard.render())
         if args.slo_out:
-            with open(args.slo_out, "w") as fh:
-                fh.write(scorecard.to_json())
-                fh.write("\n")
-            print(f"  scorecard:  {args.slo_out}")
+            _artifact(_FLEET_NOTE, "scorecard", args.slo_out, scorecard.to_json())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_json.dumps(fleet_report_document(result), indent=2))
-            fh.write("\n")
-        print(f"  report:     {args.out}")
-    if args.timeseries:
-        _write_timeseries_json(args.timeseries)
-        print(f"  timeseries: {args.timeseries}")
-    if interval is not None:
-        obs_timeseries.reset()
-    if want_metrics:
-        if args.metrics:
-            print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"  metrics:    {args.metrics_out}")
-        obs_metrics.registry.reset()
+        _artifact(_FLEET_NOTE, "report", args.out,
+                  json.dumps(fleet_report_document(result), indent=2))
+    _obs_tail(args, _FLEET_NOTE)
     return 0 if not result.leaks else 1
 
 
@@ -534,68 +455,22 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     depend only on the merged shard results, so ``--jobs 1`` and
     ``--jobs N`` produce identical output.
     """
-    from repro.obs import metrics as obs_metrics
-    from repro.scenarios.fleet_replay import (
-        render_replay_summary,
-        replay_report_document,
-        run_fleet_replay,
-    )
-    from repro.workload.fleet import FleetConfig
-    import json as _json
+    from repro.scenarios.fleet_replay import (render_replay_summary,
+                                              replay_report_document, run_fleet_replay)
 
-    try:
-        config = FleetConfig(
-            tenants=args.tenants,
-            nodes=args.nodes,
-            starts=args.starts,
-            images=args.images,
-            zipf_s=args.zipf,
-            seed=args.seed,
-            shards=args.shards,
-            day=args.day,
-        )
-    except ValueError as exc:
-        print(f"bad replay config: {exc}", file=sys.stderr)
-        return 2
-    plan = None
-    if args.faults:
-        from repro.faults.plan import FaultPlan
-
-        plan = FaultPlan.from_file(args.faults)
-    want_metrics = args.metrics or bool(args.metrics_out)
-    if want_metrics:
-        from repro.sim import profile as sim_profile
-
-        sim_profile.counters.reset()
-        obs_metrics.registry.reset()
+    config = _fleet_config(args)
+    plan = _plan(args)
     interval = _sample_interval(args)
-    if interval is not None:
-        from repro.obs import timeseries as obs_timeseries
-
-        obs_timeseries.reset()
+    want_metrics = _arm_merge(args, interval)
     result = run_fleet_replay(
         config, jobs=args.jobs, metrics=want_metrics, sample_interval=interval,
         plan=plan,
     )
     print(render_replay_summary(result))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_json.dumps(replay_report_document(result), indent=2))
-            fh.write("\n")
-        print(f"  report:     {args.out}")
-    if args.timeseries:
-        _write_timeseries_json(args.timeseries)
-        print(f"  timeseries: {args.timeseries}")
-    if interval is not None:
-        obs_timeseries.reset()
-    if want_metrics:
-        if args.metrics:
-            print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"  metrics:    {args.metrics_out}")
-        obs_metrics.registry.reset()
+        _artifact(_FLEET_NOTE, "report", args.out,
+                  json.dumps(replay_report_document(result), indent=2))
+    _obs_tail(args, _FLEET_NOTE)
     return 0 if not result.leaks else 1
 
 
@@ -608,60 +483,130 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     slo-smoke step's ``cmp`` — agree byte for byte.
     """
     from repro.faults.chaos import run_slo
-    from repro.faults.plan import FaultPlan
     from repro.obs import metrics as obs_metrics
-    from repro.obs import timeseries as obs_timeseries
     from repro.obs.slo import SloRuleSet
 
-    if args.list:
-        return _print_scenario_list()
-    if args.scenario is None:
-        print("a scenario name is required (or --list)", file=sys.stderr)
-        return 2
-    scenarios = _scenario_classes()
-    scenario_cls = scenarios.get(args.scenario)
-    if scenario_cls is None:
-        names = ", ".join(sorted(c.name for c in set(scenarios.values())))
-        print(f"unknown scenario {args.scenario!r}; one of: {names}", file=sys.stderr)
-        return 2
-    if args.faults:
-        plan = FaultPlan.from_file(args.faults)
-    else:
-        node_names = [f"nid{i:04}" for i in range(args.nodes)]
-        plan = FaultPlan.generate(seed=args.seed, horizon=600.0, node_names=node_names)
-    rules = SloRuleSet.from_file(args.rules) if args.rules else None
+    scenario_cls = _scenario(args)
+    plan = _plan(args, _seeded_plan)
+    rules = _load(SloRuleSet, args.rules, "--rules") if args.rules else None
     obs_metrics.enable()
     try:
         _metrics, report, scorecard = run_slo(
-            scenario_cls,
-            plan,
-            rules=rules,
-            n_nodes=args.nodes,
-            n_pods=args.pods,
-            seed=args.seed,
-            sample_interval=args.sample_interval,
+            scenario_cls, plan, rules=rules, n_nodes=args.nodes,
+            n_pods=args.pods, seed=args.seed, sample_interval=args.sample_interval,
         )
-        print(scorecard.render())
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(scorecard.to_json())
-                fh.write("\n")
-            print(f"  scorecard:  {args.out}")
-        if args.timeseries:
-            _write_timeseries_json(args.timeseries)
-            print(f"  timeseries: {args.timeseries}")
-        if args.metrics:
-            print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"  metrics:    {args.metrics_out}")
     finally:
         obs_metrics.disable()
-        obs_metrics.registry.reset()
-        obs_timeseries.disable()
-        obs_timeseries.reset()
+    print(scorecard.render())
+    if args.out:
+        _artifact(_FLEET_NOTE, "scorecard", args.out, scorecard.to_json())
+    _obs_tail(args, _FLEET_NOTE)
     return 0 if report.clean else 1
+
+
+# -- parser ---------------------------------------------------------------------
+
+
+def _positive(kind: type) -> _t.Callable[[str], _t.Any]:
+    """An argparse ``type``: a finite ``kind`` value above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: ..." stays as it was
+    return parse
+
+
+_POSITIVE_INT = _positive(int)
+_POSITIVE_FLOAT = _positive(float)
+
+
+def _obs_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--metrics", action="store_true",
+                   help="print the labeled metrics registry afterwards")
+    p.add_argument("--metrics-out", default=None, metavar="METRICS.json",
+                   help="write the metrics registry snapshot as JSON "
+                        "(schema repro-metrics/1)")
+
+
+def _sampling_flags(p: argparse.ArgumentParser, interval: float | None = None) -> None:
+    p.add_argument("--sample-interval", type=_POSITIVE_FLOAT, default=interval,
+                   metavar="SECONDS",
+                   help="sample time-series every SECONDS of virtual time"
+                        + (" (default %(default)s)" if interval else ""))
+    p.add_argument("--timeseries", default=None, metavar="SERIES.json",
+                   help="write the sampled time-series as JSON (schema "
+                        "repro-timeseries/1; implies sampling at the "
+                        "default interval)")
+
+
+def _scenario_flags(p: argparse.ArgumentParser, named: bool = True,
+                    listing: bool = True) -> None:
+    if named:
+        p.add_argument("scenario", metavar="scenario", nargs="?" if listing else None,
+                       help="scenario name (hyphens or underscores)")
+    p.add_argument("--nodes", type=_POSITIVE_INT, default=4)
+    p.add_argument("--pods", type=_POSITIVE_INT, default=8)
+    if listing:
+        p.add_argument("--list", action="store_true",
+                       help="list scenario names and exit")
+
+
+def _jobs_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=_POSITIVE_INT, default=1,
+                   help="worker processes (output is byte-identical to --jobs 1)")
+
+
+def _fleet_flags(p: argparse.ArgumentParser, tenants: int, nodes: int,
+                 starts: int, images: int, shards: int) -> None:
+    p.add_argument("--tenants", type=int, default=tenants)
+    p.add_argument("--nodes", type=int, default=nodes)
+    p.add_argument("--starts", type=int, default=starts,
+                   help="total container starts across the fleet")
+    p.add_argument("--images", type=int, default=images,
+                   help="catalog size tenants mirror and pull from")
+    p.add_argument("--zipf", type=float, default=1.2,
+                   help="image-popularity Zipf skew (the §4 knob)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shards", type=int, default=shards,
+                   help="tenant partitions (fixed per config; NOT the "
+                        "worker count — see --jobs)")
+    p.add_argument("--day", type=float, default=1800.0,
+                   help="diurnal period in virtual seconds")
+    _jobs_flag(p)
+
+
+def _plan_flags(p: argparse.ArgumentParser, seed: bool = True, save: bool = True,
+                faults_help: str = "load the fault plan from a JSON file "
+                                   "instead of generating one") -> None:
+    if seed:
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for plan generation and the workload")
+    p.add_argument("--faults", default=None, metavar="PLAN.json", help=faults_help)
+    if save:
+        p.add_argument("--save-plan", default=None, metavar="PLAN.json",
+                       help="write the effective fault plan to a JSON file")
+
+
+def _verb(sub, name: str, fn: _t.Callable[[argparse.Namespace], int],
+          **kwargs) -> argparse.ArgumentParser:
+    """Add sub-parser ``name`` running ``fn``: ``--list`` (scenario flags)
+    short-circuits it, and a :class:`_UsageError` exits 2."""
+    @functools.wraps(fn)
+    def run(args: argparse.Namespace) -> int:
+        if getattr(args, "list", False):
+            return _print_scenario_list()
+        try:
+            return fn(args)
+        except _UsageError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(fn=run)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,111 +616,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tables = sub.add_parser("tables", help="render paper tables from the implementation")
-    p_tables.add_argument("number", nargs="?", type=int, choices=range(1, 6))
-    p_tables.set_defaults(fn=_cmd_tables)
+    p = _verb(sub, "tables", _cmd_tables, help="render paper tables from the implementation")
+    p.add_argument("number", nargs="?", type=int, choices=range(1, 6))
 
-    p_decide = sub.add_parser("decide", help="decision document for a site profile")
-    p_decide.add_argument("profile", choices=sorted(_PROFILES))
-    p_decide.add_argument("--tables", action="store_true")
-    p_decide.set_defaults(fn=_cmd_decide)
+    p = _verb(sub, "decide", _cmd_decide, help="decision document for a site profile")
+    p.add_argument("profile", choices=sorted(_PROFILES))
+    p.add_argument("--tables", action="store_true")
 
-    p_scen = sub.add_parser("scenarios", help="run the §6.6 scenario comparison")
-    p_scen.add_argument("--nodes", type=int, default=4)
-    p_scen.add_argument("--pods", type=int, default=8)
-    p_scen.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the matrix (output is "
-                             "byte-identical to --jobs 1)")
-    p_scen.add_argument("--list", action="store_true",
-                        help="list scenario names and exit")
-    p_scen.add_argument("--metrics", action="store_true",
-                        help="print the labeled metrics registry afterwards")
-    p_scen.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                        help="write the metrics registry snapshot as JSON "
-                             "(schema repro-metrics/1)")
-    p_scen.set_defaults(fn=_cmd_scenarios)
+    p = _verb(sub, "scenarios", _cmd_scenarios, help="run the §6.6 scenario comparison")
+    _scenario_flags(p, named=False)
+    _jobs_flag(p)
+    _obs_flags(p)
 
-    p_start = sub.add_parser("startup", help="cross-engine startup comparison")
-    p_start.add_argument("--metrics", action="store_true",
-                         help="print the labeled metrics registry afterwards")
-    p_start.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                         help="write the metrics registry snapshot as JSON "
-                              "(schema repro-metrics/1)")
-    p_start.set_defaults(fn=_cmd_startup)
+    p = _verb(sub, "startup", _cmd_startup, help="cross-engine startup comparison")
+    _obs_flags(p)
 
-    p_trace = sub.add_parser(
-        "trace", help="run one scenario and export a Perfetto timeline"
-    )
-    p_trace.add_argument("scenario", metavar="scenario",
-                         help="scenario name (hyphens or underscores)")
-    p_trace.add_argument("--out", default="trace.json",
-                         help="output path for the Chrome trace JSON")
-    p_trace.add_argument("--nodes", type=int, default=4)
-    p_trace.add_argument("--pods", type=int, default=8)
-    p_trace.add_argument("--wall", action="store_true",
-                         help="also record wall-clock span durations "
-                              "(non-deterministic args; off by default)")
-    p_trace.add_argument("--pretty", action="store_true",
-                         help="indent the JSON output")
-    p_trace.add_argument("--metrics", action="store_true",
-                         help="print the labeled metrics registry afterwards")
-    p_trace.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                         help="write the metrics registry snapshot as JSON "
-                              "(schema repro-metrics/1)")
-    p_trace.set_defaults(fn=_cmd_trace)
+    p = _verb(sub, "trace", _cmd_trace,
+              help="run one scenario and export a Perfetto timeline")
+    _scenario_flags(p, listing=False)
+    p.add_argument("--out", default="trace.json",
+                   help="output path for the Chrome trace JSON")
+    p.add_argument("--wall", action="store_true",
+                   help="also record wall-clock span durations "
+                        "(non-deterministic args; off by default)")
+    p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+    _obs_flags(p)
 
-    p_chaos = sub.add_parser(
-        "chaos",
+    p = _verb(
+        sub, "chaos", _cmd_chaos,
         help="run one scenario under a deterministic fault plan",
         description="Arm the fault injector with a seeded (or file-supplied) "
                     "plan, run the scenario, and report injections, retries, "
                     "requeues, pod outcomes, and the leak audit.  Same seed "
                     "and plan produce a byte-identical trace.",
     )
-    p_chaos.add_argument("scenario", metavar="scenario", nargs="?",
-                         help="scenario name (hyphens or underscores)")
-    p_chaos.add_argument("--seed", type=int, default=0,
-                         help="seed for plan generation and the workload")
-    p_chaos.add_argument("--seeds", default=None, metavar="A..B",
-                         help="run a seed sweep over the inclusive range "
-                              "(or a single seed) instead of one --seed run")
-    p_chaos.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for a --seeds sweep (output "
-                              "is byte-identical to --jobs 1)")
-    p_chaos.add_argument("--faults", default=None, metavar="PLAN.json",
-                         help="load the fault plan from a JSON file instead "
-                              "of generating one from the seed(s)")
-    p_chaos.add_argument("--save-plan", default=None, metavar="PLAN.json",
-                         help="write the effective fault plan to a JSON file")
-    p_chaos.add_argument("--nodes", type=int, default=4)
-    p_chaos.add_argument("--pods", type=int, default=8)
-    p_chaos.add_argument("--trace", default="chaos-trace.json",
-                         help="output path for the Chrome trace JSON")
-    p_chaos.add_argument("--out", default=None, metavar="REPORT.json",
-                         help="also write the chaos report document as JSON "
-                              "(schema repro-chaos-report/2)")
-    p_chaos.add_argument("--list", action="store_true",
-                         help="list scenario names and exit")
-    p_chaos.add_argument("--pretty", action="store_true",
-                         help="indent the trace JSON output")
-    p_chaos.add_argument("--sample-interval", type=float, default=None,
-                         metavar="SECONDS",
-                         help="sample time-series every SECONDS of virtual "
-                              "time (enables SLO evaluation and detection "
-                              "latency in the report)")
-    p_chaos.add_argument("--timeseries", default=None, metavar="SERIES.json",
-                         help="write the sampled time-series as JSON (schema "
-                              "repro-timeseries/1; implies sampling at the "
-                              "default interval)")
-    p_chaos.add_argument("--metrics", action="store_true",
-                         help="print the labeled metrics registry afterwards")
-    p_chaos.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                         help="write the metrics registry snapshot as JSON "
-                              "(schema repro-metrics/1)")
-    p_chaos.set_defaults(fn=_cmd_chaos)
+    _scenario_flags(p)
+    _plan_flags(p)
+    p.add_argument("--seeds", default=None, metavar="A..B",
+                   help="run a seed sweep over the inclusive range "
+                        "(or a single seed) instead of one --seed run")
+    _jobs_flag(p)
+    p.add_argument("--trace", default="chaos-trace.json",
+                   help="output path for the Chrome trace JSON")
+    p.add_argument("--out", default=None, metavar="REPORT.json",
+                   help="also write the chaos report document as JSON "
+                        "(schema repro-chaos-report/2)")
+    p.add_argument("--pretty", action="store_true", help="indent the trace JSON output")
+    _sampling_flags(p)
+    _obs_flags(p)
 
-    p_slo = sub.add_parser(
-        "slo",
+    p = _verb(
+        sub, "slo", _cmd_slo,
         help="score a chaos run against declarative SLO rules",
         description="Run one scenario under a deterministic fault plan with "
                     "virtual-time time-series sampling on, evaluate "
@@ -784,38 +675,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "breach time, per-entity health, and per-fault-kind "
                     "detection latency.  Double runs agree byte for byte.",
     )
-    p_slo.add_argument("scenario", metavar="scenario", nargs="?",
-                       help="scenario name (hyphens or underscores)")
-    p_slo.add_argument("--seed", type=int, default=0,
-                       help="seed for plan generation and the workload")
-    p_slo.add_argument("--faults", default=None, metavar="PLAN.json",
-                       help="load the fault plan from a JSON file instead of "
-                            "generating one from the seed")
-    p_slo.add_argument("--rules", default=None, metavar="RULES.json",
-                       help="load SLO rules from a JSON file (default: the "
-                            "built-in chaos rule set)")
-    p_slo.add_argument("--nodes", type=int, default=4)
-    p_slo.add_argument("--pods", type=int, default=8)
-    p_slo.add_argument("--sample-interval", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="virtual-time sampling interval (default 5.0)")
-    p_slo.add_argument("--out", default=None, metavar="SCORECARD.json",
-                       help="write the scorecard as JSON (schema "
-                            "repro-slo-scorecard/1)")
-    p_slo.add_argument("--timeseries", default=None, metavar="SERIES.json",
-                       help="write the sampled time-series as JSON (schema "
-                            "repro-timeseries/1)")
-    p_slo.add_argument("--list", action="store_true",
-                       help="list scenario names and exit")
-    p_slo.add_argument("--metrics", action="store_true",
-                       help="print the labeled metrics registry afterwards")
-    p_slo.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                       help="write the metrics registry snapshot as JSON "
-                            "(schema repro-metrics/1)")
-    p_slo.set_defaults(fn=_cmd_slo)
+    _scenario_flags(p)
+    _plan_flags(p, save=False)
+    p.add_argument("--rules", default=None, metavar="RULES.json",
+                   help="load SLO rules from a JSON file (default: the "
+                        "built-in chaos rule set)")
+    p.add_argument("--out", default=None, metavar="SCORECARD.json",
+                   help="write the scorecard as JSON (schema "
+                        "repro-slo-scorecard/1)")
+    _sampling_flags(p, interval=DEFAULT_INTERVAL)
+    _obs_flags(p)
 
-    p_fleet = sub.add_parser(
-        "fleet",
+    p = _verb(
+        sub, "fleet", _cmd_fleet,
         help="run the trace-driven multi-tenant fleet workload",
         description="Simulate a fleet of tenants pulling Zipf-distributed "
                     "images through per-tenant registries onto a shared node "
@@ -823,62 +695,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "caches).  The run is partitioned into deterministic "
                     "shard cells; output is byte-identical for any --jobs.",
     )
-    p_fleet.add_argument("--tenants", type=int, default=64)
-    p_fleet.add_argument("--nodes", type=int, default=128)
-    p_fleet.add_argument("--starts", type=int, default=5000,
-                         help="total container starts across the fleet")
-    p_fleet.add_argument("--images", type=int, default=24,
-                         help="catalog size tenants mirror and pull from")
-    p_fleet.add_argument("--zipf", type=float, default=1.2,
-                         help="image-popularity Zipf skew (the §4 knob)")
-    p_fleet.add_argument("--seed", type=int, default=0)
-    p_fleet.add_argument("--shards", type=int, default=8,
-                         help="tenant partitions (fixed per config; NOT the "
-                              "worker count — see --jobs)")
-    p_fleet.add_argument("--day", type=float, default=1800.0,
-                         help="diurnal period in virtual seconds")
-    p_fleet.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (output is byte-identical "
-                              "to --jobs 1)")
-    p_fleet.add_argument("--chaos", action="store_true",
-                         help="generate a fleet-sized fault plan from --seed "
-                              "(node crashes + registry windows) and deliver "
-                              "it into every shard")
-    p_fleet.add_argument("--faults", default=None, metavar="PLAN.json",
-                         help="load the fault plan from a JSON file instead "
-                              "of generating one with --chaos")
-    p_fleet.add_argument("--save-plan", default=None, metavar="PLAN.json",
-                         help="write the effective fault plan to a JSON file")
-    p_fleet.add_argument("--slo", action="store_true",
-                         help="sample fleet.* time-series and score them "
-                              "against the fleet SLO rules (pending depth, "
-                              "warm-rate floor, wait budgets, chaos symptoms)")
-    p_fleet.add_argument("--slo-out", default=None, metavar="SCORECARD.json",
-                         help="write the SLO scorecard as JSON (schema "
-                              "repro-slo-scorecard/1; implies --slo)")
-    p_fleet.add_argument("--rules", default=None, metavar="RULES.json",
-                         help="load SLO rules from a JSON file (default: the "
-                              "built-in fleet rule set)")
-    p_fleet.add_argument("--out", default=None, metavar="REPORT.json",
-                         help="also write the fleet report document as JSON "
-                              "(schema repro-fleet-report/2)")
-    p_fleet.add_argument("--sample-interval", type=float, default=None,
-                         metavar="SECONDS",
-                         help="sample per-shard/per-tenant time-series every "
-                              "SECONDS of virtual time")
-    p_fleet.add_argument("--timeseries", default=None, metavar="SERIES.json",
-                         help="write the sampled time-series as JSON (schema "
-                              "repro-timeseries/1; implies sampling at the "
-                              "default interval)")
-    p_fleet.add_argument("--metrics", action="store_true",
-                         help="print the labeled metrics registry afterwards")
-    p_fleet.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                         help="write the metrics registry snapshot as JSON "
-                              "(schema repro-metrics/1)")
-    p_fleet.set_defaults(fn=_cmd_fleet)
+    _fleet_flags(p, tenants=64, nodes=128, starts=5000, images=24, shards=8)
+    p.add_argument("--chaos", action="store_true",
+                   help="generate a fleet-sized fault plan from --seed "
+                        "(node crashes + registry windows) and deliver "
+                        "it into every shard")
+    _plan_flags(p, seed=False, faults_help="load the fault plan from a JSON "
+                                           "file instead of generating one "
+                                           "with --chaos")
+    p.add_argument("--slo", action="store_true",
+                   help="sample fleet.* time-series and score them "
+                        "against the fleet SLO rules (pending depth, "
+                        "warm-rate floor, wait budgets, chaos symptoms)")
+    p.add_argument("--slo-out", default=None, metavar="SCORECARD.json",
+                   help="write the SLO scorecard as JSON (schema "
+                        "repro-slo-scorecard/1; implies --slo)")
+    p.add_argument("--rules", default=None, metavar="RULES.json",
+                   help="load SLO rules from a JSON file (default: the "
+                        "built-in fleet rule set)")
+    p.add_argument("--out", default=None, metavar="REPORT.json",
+                   help="also write the fleet report document as JSON "
+                        "(schema repro-fleet-report/2)")
+    _sampling_flags(p)
+    _obs_flags(p)
 
-    p_replay = sub.add_parser(
-        "replay",
+    p = _verb(
+        sub, "replay", _cmd_replay,
         help="replay fleet traces through the real §6.5 control plane",
         description="Feed the fleet workload's arrival traces (diurnal "
                     "Poisson, Zipf tenants/images) through the real "
@@ -887,45 +729,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "(kubelets in a WLM allocation).  Output is "
                     "byte-identical for any --jobs.",
     )
-    p_replay.add_argument("--tenants", type=int, default=16)
-    p_replay.add_argument("--nodes", type=int, default=32)
-    p_replay.add_argument("--starts", type=int, default=400,
-                          help="total pod starts across the fleet")
-    p_replay.add_argument("--images", type=int, default=12,
-                          help="catalog size tenants mirror and pull from")
-    p_replay.add_argument("--zipf", type=float, default=1.2,
-                          help="image-popularity Zipf skew (the §4 knob)")
-    p_replay.add_argument("--seed", type=int, default=0)
-    p_replay.add_argument("--shards", type=int, default=4,
-                          help="sub-clusters (fixed per config; NOT the "
-                               "worker count — see --jobs)")
-    p_replay.add_argument("--day", type=float, default=1800.0,
-                          help="diurnal period in virtual seconds")
-    p_replay.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (output is byte-identical "
-                               "to --jobs 1)")
-    p_replay.add_argument("--faults", default=None, metavar="PLAN.json",
-                          help="deliver a fault plan's registry windows into "
-                               "the replay pull path (node crashes in the "
-                               "plan are ignored — fleet node ids don't name "
-                               "replay sub-cluster nodes)")
-    p_replay.add_argument("--out", default=None, metavar="REPORT.json",
-                          help="also write the replay report document as "
-                               "JSON (schema repro-fleet-replay-report/1)")
-    p_replay.add_argument("--sample-interval", type=float, default=None,
-                          metavar="SECONDS",
-                          help="sample per-shard replay time-series every "
-                               "SECONDS of virtual time")
-    p_replay.add_argument("--timeseries", default=None, metavar="SERIES.json",
-                          help="write the sampled time-series as JSON (schema "
-                               "repro-timeseries/1; implies sampling at the "
-                               "default interval)")
-    p_replay.add_argument("--metrics", action="store_true",
-                          help="print the labeled metrics registry afterwards")
-    p_replay.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                          help="write the metrics registry snapshot as JSON "
-                               "(schema repro-metrics/1)")
-    p_replay.set_defaults(fn=_cmd_replay)
+    _fleet_flags(p, tenants=16, nodes=32, starts=400, images=12, shards=4)
+    _plan_flags(p, seed=False, save=False,
+                faults_help="deliver a fault plan's registry windows into "
+                            "the replay pull path (node crashes in the "
+                            "plan are ignored — fleet node ids don't name "
+                            "replay sub-cluster nodes)")
+    p.add_argument("--out", default=None, metavar="REPORT.json",
+                   help="also write the replay report document as "
+                        "JSON (schema repro-fleet-replay-report/1)")
+    _sampling_flags(p)
+    _obs_flags(p)
     return parser
 
 

@@ -156,7 +156,9 @@ class FaultPlan:
         doc = json.loads(text)
         if isinstance(doc, list):  # bare event list is accepted too
             doc = {"events": doc}
-        events = [FaultEvent.from_dict(e) for e in doc.get("events", [])]
+        if not isinstance(doc, dict) or "events" not in doc:
+            raise ValueError('a fault plan is a list of events or an object with "events"')
+        events = [FaultEvent.from_dict(e) for e in doc["events"]]
         return cls(events, seed=doc.get("seed"))
 
     def to_file(self, path: str) -> None:

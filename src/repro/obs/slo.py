@@ -211,7 +211,9 @@ class SloRuleSet:
         doc = json.loads(text)
         if isinstance(doc, list):  # bare rule list is accepted too
             doc = {"rules": doc}
-        rules = [SloRule.from_dict(r) for r in doc.get("rules", [])]
+        if not isinstance(doc, dict) or "rules" not in doc:
+            raise ValueError('an SLO rule set is a list of rules or an object with "rules"')
+        rules = [SloRule.from_dict(r) for r in doc["rules"]]
         return cls(rules, name=doc.get("name"))
 
     def to_file(self, path: str) -> None:

@@ -75,6 +75,17 @@ def test_plan_from_bare_event_list():
     assert plan.events[0].kind is FaultKind.REGISTRY_429
 
 
+@pytest.mark.parametrize("text", ['{"x": 1}', '{"seed": 3}', "5", '"events"'])
+def test_plan_without_events_is_rejected(text):
+    with pytest.raises(ValueError, match="events"):
+        FaultPlan.from_json(text)
+
+
+def test_plan_with_empty_events_is_accepted():
+    assert len(FaultPlan.from_json('{"events": []}')) == 0
+    assert len(FaultPlan.from_json("[]")) == 0
+
+
 def test_generate_is_deterministic_and_seed_sensitive():
     nodes = ["nid0000", "nid0001"]
     a = FaultPlan.generate(seed=7, node_names=nodes)

@@ -83,6 +83,12 @@ def test_ruleset_accepts_bare_rule_list():
     assert rules.rules[0].value == 1.5
 
 
+@pytest.mark.parametrize("text", ['{"x": 1}', '{"name": "n"}', "5", "null"])
+def test_ruleset_without_rules_is_rejected(text):
+    with pytest.raises(ValueError, match="rules"):
+        SloRuleSet.from_json(text)
+
+
 def test_ruleset_file_roundtrip(tmp_path):
     path = tmp_path / "rules.json"
     default_chaos_rules().to_file(str(path))

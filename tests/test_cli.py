@@ -340,3 +340,96 @@ def test_replay_timeseries_out(tmp_path, capsys, _obs_clean):
     capsys.readouterr()
     doc = json.loads(path.read_text())
     assert any(n.startswith("replay.inflight{shard=") for n in doc["series"])
+
+
+# -- shared flag groups: input validation and post-run obs state -----------------
+
+_K = "kubelet_in_allocation"
+
+
+@pytest.mark.parametrize("argv", [
+    ["slo", _K, "--sample-interval", "0"],
+    ["chaos", _K, "--sample-interval", "-1"],
+    ["chaos", _K, "--sample-interval", "nan"],
+])
+def test_sample_interval_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--sample-interval: must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenarios", "--nodes", "0"],
+    ["scenarios", "--pods", "-3"],
+    ["trace", _K, "--nodes", "0"],
+    ["chaos", _K, "--pods", "0"],
+    ["slo", _K, "--nodes", "0"],
+    ["scenarios", "--jobs", "0"],
+    ["chaos", _K, "--seeds", "0..1", "--jobs", "0"],
+    ["fleet", "--jobs", "0"],
+    ["replay", "--jobs", "-1"],
+])
+def test_counts_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.fixture
+def _bad_files(tmp_path):
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{oops")
+    no_key = tmp_path / "nokey.json"
+    no_key.write_text('{"x": 1}\n')
+    return [str(tmp_path / "missing.json"), str(not_json), str(no_key)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", _K, "--faults"],
+    ["chaos", _K, "--seeds", "0..1", "--faults"],
+    ["slo", _K, "--faults"],
+    ["slo", _K, "--rules"],
+    ["fleet", "--faults"],
+    ["fleet", "--slo", "--rules"],
+    ["replay", "--faults"],
+])
+def test_bad_plan_or_rules_file_exits_2(argv, _bad_files, capsys, _obs_clean):
+    for path in _bad_files:
+        assert main([*argv, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{argv[-1]} {path}:" in captured.err
+
+
+@pytest.mark.parametrize("argv,counter", [
+    (["scenarios", "--nodes", "2", "--pods", "2"], "events_processed"),
+    (["startup", "--metrics"], "digest_cache_hits"),
+    (["trace", _K, "--nodes", "2", "--pods", "2", "--out", "{tmp}/t.json",
+      "--metrics"], "events_processed"),
+    (["chaos", _K, "--nodes", "2", "--pods", "2", "--trace", "{tmp}/t.json",
+      "--sample-interval", "5"], "events_processed"),
+    (["chaos", _K, "--seeds", "0..1", "--nodes", "2", "--pods", "2",
+      "--trace", "{tmp}/t.json", "--timeseries", "{tmp}/ts.json"], "events_processed"),
+    (["slo", _K, "--nodes", "2", "--pods", "2", "--metrics-out", "{tmp}/m.json"],
+     "events_processed"),
+    (["fleet", "--tenants", "4", "--nodes", "8", "--starts", "200", "--shards", "2",
+      "--slo"], "events_processed"),
+    (["replay", "--tenants", "2", "--nodes", "4", "--starts", "30", "--shards", "2",
+      "--timeseries", "{tmp}/ts.json"], "events_processed"),
+], ids=["scenarios", "startup", "trace", "chaos", "chaos-seeds", "slo",
+        "fleet-slo", "replay"])
+def test_verb_leaves_obs_disarmed_and_counters_readable(argv, counter, tmp_path,
+                                                        capsys, _obs_clean):
+    from repro.obs import metrics, timeseries, trace
+    from repro.sim import profile
+
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+    capsys.readouterr()
+    assert not trace.tracer.enabled
+    assert not metrics.registry.enabled
+    assert not timeseries.recorder.enabled
+    assert timeseries.recorder.snapshot() == {}
+    assert getattr(profile.counters, counter) > 0

@@ -226,3 +226,9 @@ def test_cli_fleet_rejects_bad_config(capsys):
         for bad in (["--tenants", "0"], ["--zipf", "-1"]):
             assert main([verb, *bad]) == 2
             assert f"bad {verb} config" in capsys.readouterr().err
+        # a non-positive sampling grid is an argparse error, not a shard crash
+        for interval in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main([verb, "--sample-interval", interval])
+            assert exc.value.code == 2
+            assert "--sample-interval" in capsys.readouterr().err

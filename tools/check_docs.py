@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs consistency check: dead links and phantom metric names.
+"""Docs consistency check: dead links, phantom metric names, stale CLI examples.
 
-Two classes of documentation rot, both cheap to catch mechanically:
+Three classes of documentation rot, all cheap to catch mechanically:
 
 1. **Dead relative links** — every ``[text](path)`` markdown link whose
    target is a relative path must point at a file or directory that
@@ -15,17 +15,27 @@ Two classes of documentation rot, both cheap to catch mechanically:
    suffixes (``.rate`` / ``.p50`` / ``.p99``) and the ``sim.*`` bridge
    prefix, as its base series.  This keeps the catalog honest when a
    series is renamed or removed.
+3. **Stale CLI examples** — every ``python -m repro …`` command inside a
+   fenced code block of a top-level ``*.md`` file must parse with
+   ``repro.cli.build_parser()`` (a line ending in ``\`` continues onto
+   the next; comments and shell redirections are dropped), so a flag
+   that is renamed or removed fails the build instead of the reader.
 
 Exit status: 0 clean, 1 with findings (one line each on stderr).
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import pathlib
 import re
+import shlex
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
 DOCS = sorted(REPO.glob("*.md"))
 
@@ -100,14 +110,60 @@ def check_metrics() -> list[str]:
     return problems
 
 
+FENCE_RE = re.compile(r"^```.*?$(.*?)^```", re.M | re.S)
+CLI_PREFIX = "python -m repro "
+#: shell tokens that end the CLI's argv
+SHELL_OPS = {">", ">>", "2>", "|", "&&", "||", ";", "<"}
+
+
+def cli_examples(text: str):
+    """``python -m repro`` argv lists from the fenced blocks of ``text``."""
+    for block in FENCE_RE.findall(text):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            start = line.find(CLI_PREFIX)
+            if start < 0 or not all("=" in tok for tok in line[:start].split()):
+                continue  # only env assignments may precede the command
+            command = line[start + len(CLI_PREFIX):]
+            while command.rstrip().endswith("\\") and i + 1 < len(lines):
+                i += 1
+                command = command.rstrip()[:-1] + " " + lines[i]
+            argv = shlex.split(command, comments=True)
+            cut = [j for j, tok in enumerate(argv) if tok in SHELL_OPS]
+            yield argv[:cut[0]] if cut else argv
+
+
+def check_cli_examples() -> list[str]:
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    # exact flag names only: an example must not pass by abbreviating a flag
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for verb in action.choices.values():
+                verb.allow_abbrev = False
+    problems = []
+    for doc in DOCS:
+        for argv in cli_examples(doc.read_text()):
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(err):
+                    parser.parse_args(argv)
+            except SystemExit:
+                reason = err.getvalue().strip().splitlines()[-1:] or ["?"]
+                problems.append(f"{doc.name}: `python -m repro {shlex.join(argv)}` "
+                                f"does not parse: {reason[0]}")
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_metrics()
+    problems = check_links() + check_metrics() + check_cli_examples()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         print(f"{len(problems)} docs problem(s)", file=sys.stderr)
         return 1
-    print(f"docs OK: {len(DOCS)} files, links + metric catalog verified")
+    print(f"docs OK: {len(DOCS)} files, links + metric catalog + CLI examples verified")
     return 0
 
 
