@@ -124,13 +124,15 @@ class OCIDistributionRegistry:
         self._manifests: dict[str, tuple[Manifest, ImageConfig]] = {}
         #: repo/ref -> artifact
         self._artifacts: dict[str, Artifact] = {}
-        #: manifest digest -> the assembled OCIImage handed to pullers.
-        #: Images are immutable, so repeat pulls of the same manifest can
-        #: share one object instead of re-deriving the manifest + config
-        #: digests per pull — at fleet scale that is one sha256/JSON
-        #: round per container start.  Cost accounting is unaffected:
-        #: the per-layer store reads below still run every pull.
-        self._pull_cache: dict[str, OCIImage] = {}
+        #: manifest digest -> pull plan ``(store generation, image,
+        #: manifest-GET cost, ((layer digest, size, store cost + transfer
+        #: cost), ...))``.  Images, blobs and the transport never change,
+        #: so a manifest resolves once instead of re-reading every layer
+        #: blob and re-deriving the image digests per pull — at fleet
+        #: scale that is one round per container start.  A plan is
+        #: rebuilt once the store's generation moves (a blob was deleted
+        #: or purged), so it never outlives a layer it reads.
+        self._pull_plans: dict[str, tuple[int, OCIImage, float, tuple]] = {}
         #: declared tenants (orgs/projects)
         self._tenants: set[str] = set()
         self.stats = {"pushes": 0, "pulls": 0, "blob_uploads_skipped": 0}
@@ -157,10 +159,6 @@ class OCIDistributionRegistry:
             raise RegistryError(f"{self.name} requires authentication for {scope}")
         self.auth.validate(token, scope)
 
-    def _rate_check(self, ip: str, now: float) -> None:
-        if self.rate_limiter is not None:
-            self.rate_limiter.check(ip, now)
-
     # -- push ---------------------------------------------------------------------------
     def push_image(
         self,
@@ -173,37 +171,49 @@ class OCIDistributionRegistry:
         skipped after a HEAD check (layer dedup)."""
         self._authorize(token, "push")
         project = self._project_of(repository)
-        cost = 0.0
+        store = self.store
+        # the manifest already snapshotted the layer and config digests at
+        # image construction; re-deriving them (JSON + sha256) per push is
+        # pure waste when tenants re-push a shared catalog
+        layer_digests = image.manifest.layer_digests
+        config_digest = image.manifest.config_digest
+        config_payload = None
+        if not store.has(config_digest):
+            config_payload = image.config.to_json().encode()
+        # the quota is charged before any blob lands, so a rejected push
+        # leaves the store exactly as it found it
         new_bytes = 0
-        for layer in image.layers:
-            if self.store.has(layer.digest):
-                cost += self.store.stat(layer.digest) + self.transport.request_cost()
+        if config_payload is not None or not all(map(store.has, layer_digests)):
+            fresh = {
+                layer.digest: layer.compressed_size
+                for layer in image.layers if not store.has(layer.digest)
+            }
+            new_bytes = sum(fresh.values())
+            if config_payload is not None:
+                new_bytes += len(config_payload)
+            if project is not None and self.quotas is not None:
+                self.quotas.charge(project, new_bytes)
+        cost = 0.0
+        for layer, digest in zip(image.layers, layer_digests):
+            if store.has(digest):
+                cost += store.stat(digest) + self.transport.request_cost()
                 self.stats["blob_uploads_skipped"] += 1
             else:
                 cost += self.transport.request_cost(layer.compressed_size)
-                cost += self.store.put(
-                    layer.digest,
+                cost += store.put(
+                    digest,
                     layer.compressed_size,
                     payload=layer,
                     media_type="application/vnd.oci.image.layer.v1.tar+gzip",
                 )
-                new_bytes += layer.compressed_size
-        # the manifest already snapshotted the config digest at image
-        # construction; re-deriving it (JSON + sha256) per push is pure
-        # waste when tenants re-push a shared catalog
-        config_digest = image.manifest.config_digest
-        if not self.store.has(config_digest):
-            config_payload = image.config.to_json().encode()
+        if config_payload is not None:
             cost += self.transport.request_cost(len(config_payload))
-            cost += self.store.put(
+            cost += store.put(
                 config_digest,
                 len(config_payload),
                 payload=image.config,
                 media_type="application/vnd.oci.image.config.v1+json",
             )
-            new_bytes += len(config_payload)
-        if project is not None and self.quotas is not None and new_bytes:
-            self.quotas.charge(project, new_bytes)
         self._manifests[image.digest] = (image.manifest, image.config)
         self._tags.setdefault(repository, {})[tag] = image.digest
         cost += self.transport.request_cost(1024)  # manifest PUT
@@ -256,8 +266,10 @@ class OCIDistributionRegistry:
         pass ``now + cost_so_far`` to model time moving forward between
         attempts.
         """
-        self._authorize(token, "pull")
-        self._rate_check(ip, now)
+        if self.auth is not None:
+            self._authorize(token, "pull")
+        if self.rate_limiter is not None:
+            self.rate_limiter.check(ip, now)
         slow_factor = 1.0
         if _faults.enabled:
             fault = _faults.active("registry.pull", at=now, target=self.name)
@@ -277,19 +289,22 @@ class OCIDistributionRegistry:
                     )
                 if fault.kind is FaultKind.REGISTRY_SLOW_BLOB:
                     slow_factor = max(1.0, fault.factor)
-        digest = self.resolve(repository, tag)
-        manifest, config = self._manifests[digest]
-        cost = self.transport.request_cost(2048)  # manifest GET
-        layers: list[Layer] = []
+        tags = self._tags.get(repository)
+        if tags is None or tag not in tags:
+            raise RegistryError(f"{self.name}: no such image {repository}:{tag}")
+        digest = tags[tag]
+        store = self.store
+        plan = self._pull_plans.get(digest)
+        if plan is None or plan[0] != store.generation:
+            plan = self._plan_pull(digest)  # reads (and counts) each blob
+        else:
+            store.stats["gets"] += len(plan[3])
+        _generation, image, cost, layers = plan
         transferred = 0
-        for layer_digest in manifest.layer_digests:
-            blob, store_cost = self.store.get(layer_digest)
-            layer = blob.payload
-            assert isinstance(layer, Layer)
-            layers.append(layer)
+        for layer_digest, size, layer_cost in layers:
             if layer_digest not in have_digests:
-                cost += store_cost + self.transport.request_cost(blob.size)
-                transferred += blob.size
+                cost += layer_cost
+                transferred += size
         cost *= slow_factor
         self.stats["pulls"] += 1
         if _trace.tracer.enabled:
@@ -304,10 +319,32 @@ class OCIDistributionRegistry:
             _metrics.inc("registry.pulls", registry=self.name)
             _metrics.inc("registry.bytes", transferred, registry=self.name, op="pull")
             _metrics.observe("registry.pull_seconds", cost, registry=self.name)
-        image = self._pull_cache.get(digest)
-        if image is None:
-            image = self._pull_cache[digest] = OCIImage(config, layers)
         return image, cost
+
+    def _plan_pull(self, digest: str) -> tuple[int, OCIImage, float, tuple]:
+        """Read every layer blob of manifest ``digest`` once and cache
+        what a pull of it costs, under the store's current generation."""
+        manifest, config = self._manifests[digest]
+        store = self.store
+        layers: list[Layer] = []
+        steps = []
+        for layer_digest in manifest.layer_digests:
+            blob, store_cost = store.get(layer_digest)
+            layer = blob.payload
+            assert isinstance(layer, Layer)
+            layers.append(layer)
+            steps.append(
+                (layer_digest, blob.size,
+                 store_cost + self.transport.request_cost(blob.size))
+            )
+        plan = (
+            store.generation,
+            OCIImage(config, layers),
+            self.transport.request_cost(2048),  # manifest GET
+            tuple(steps),
+        )
+        self._pull_plans[digest] = plan
+        return plan
 
     def delete_tag(self, repository: str, tag: str, token: str | None = None) -> None:
         self._authorize(token, "push")
@@ -326,6 +363,7 @@ class OCIDistributionRegistry:
         for digest in list(self._manifests):
             if digest not in referenced_manifests:
                 del self._manifests[digest]
+                self._pull_plans.pop(digest, None)
         for manifest, config in self._manifests.values():
             referenced_blobs.update(manifest.layer_digests)
             referenced_blobs.add(config.digest)
@@ -338,6 +376,8 @@ class OCIDistributionRegistry:
             ):
                 del self.store._blobs[blob_digest]
                 purged += 1
+        if purged:
+            self.store.generation += 1
         return purged
 
     def list_tags(self, repository: str) -> list[str]:

@@ -38,6 +38,10 @@ class BlobStore:
         self._blobs: dict[str, StoredBlob] = {}
         self.capacity_bytes = capacity_bytes
         self.stats = {"puts": 0, "gets": 0, "dedup_hits": 0, "bytes_stored": 0}
+        #: bumped whenever a blob leaves the store; anything derived from
+        #: stored blobs (a registry's pull plans) is valid only for the
+        #: generation it was built under
+        self.generation = 0
 
     # -- operations: each returns (result, cost_seconds) -------------------------
     def put(
@@ -79,6 +83,7 @@ class BlobStore:
         blob.ref_count -= 1
         if blob.ref_count <= 0:
             del self._blobs[digest]
+            self.generation += 1
 
     @property
     def used_bytes(self) -> int:

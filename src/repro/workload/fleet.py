@@ -39,26 +39,38 @@ therefore
   completions (a calendar of per-epoch buckets) — virtual-time results
   are *identical* to one-event-per-start execution, verified against
   the reference engine in ``tests/oracles/fleet.py``;
-- pools container records in slotted parallel arrays with a free list —
-  no per-start object allocation, no retained per-container history;
+- pools container records as one ``(node, cpus, tenant, busy)`` tuple
+  per slot with a free list — no per-start object, no retained
+  per-container history;
 - places starts through :class:`~repro.cluster.capacity.CapacityIndex`
-  (bucketed best-fit, O(log nodes)) instead of a linear scan;
-- streams per-tenant results into :class:`TenantStats` accumulators and
-  fixed-bucket histograms;
+  (bucketed best-fit, O(log nodes)) instead of a linear scan, and on a
+  completion drains the placement queue only when its head now fits on
+  the node just released: after every drain the head fits nowhere, and
+  until the next drain only that node gains cores, so every skipped
+  drain is one whose first ``alloc`` was certain to miss (crash and
+  restore edges drain unguarded);
+- pulls cold images through the registry's per-manifest pull plans
+  (:class:`~repro.registry.distribution.OCIDistributionRegistry` reads
+  each manifest's blobs once and replays the cost per pull), with the
+  retry loop entered only after a first attempt fails;
+- streams per-tenant results into eight per-tenant columns (plain
+  lists, summed in tenant order at the end) and fixed-bucket
+  histograms;
 - feeds labeled metrics through interned series keys
   (:meth:`~repro.obs.metrics.MetricsRegistry.series_key`) so the
   per-start path never rebuilds label dicts.
 
 ``tests/oracles/fleet.py`` keeps the pre-optimization engine as a test
-oracle — one event per arrival and completion, linear capacity scans —
-byte-identical results, an order of magnitude slower.
+oracle — one event per arrival and completion, linear capacity scans, a
+queue drain on every completion — byte-identical results, an order of
+magnitude slower.
 ``benchmarks/bench_fleet.py`` records the ratio.
 
 **Chaos.**  A :class:`~repro.faults.plan.FaultPlan` can be delivered
 into a fleet run (``python -m repro fleet --chaos`` / ``--faults``).
 Pull-style registry windows (429, timeout, slow-blob) are polled by the
 real pull path the engine already uses — cold pulls retry with
-jitter-free backoff and charge :class:`TenantStats.failed` when the
+jitter-free backoff and count in the tenant's ``failed`` column when the
 :class:`~repro.faults.retry.RetryPolicy` gives up.  Push-style
 ``NODE_CRASH`` events target synthetic ``fleet-node-NNNNN`` ids (see
 :func:`fleet_node_name`): the engine merges the plan's crash/restore
@@ -79,8 +91,9 @@ import dataclasses
 import json
 import math
 import typing as _t
+from bisect import insort
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -314,6 +327,11 @@ def generate_shard_trace(
     )
 
 
+def _latest_first(record: tuple[float, int, int, int]) -> tuple[float, int]:
+    """Sort key that orders completion records latest ``(end, seq)`` first."""
+    return (-record[0], -record[1])
+
+
 # -- fault-plan targeting ------------------------------------------------------
 
 def fleet_node_name(node: int) -> str:
@@ -420,28 +438,6 @@ class ImageCatalog:
             layer_sizes.append(tuple(layer.compressed_size for layer in layers))
             compressed.append(image.compressed_size)
         return cls(images, digests, layer_digests, layer_sizes, compressed)
-
-
-class TenantStats:
-    """Streaming per-tenant accumulator — the fleet never retains a
-    per-container record."""
-
-    __slots__ = ("starts", "completions", "failed", "cold_pulls",
-                 "pulled_bytes", "wait_sum", "wait_max", "cpu_seconds")
-
-    def __init__(self) -> None:
-        self.starts = 0
-        self.completions = 0
-        self.failed = 0
-        self.cold_pulls = 0
-        self.pulled_bytes = 0
-        self.wait_sum = 0.0
-        self.wait_max = 0.0
-        self.cpu_seconds = 0.0
-
-    def as_tuple(self) -> tuple:
-        return (self.starts, self.completions, self.failed, self.cold_pulls,
-                self.pulled_bytes, self.wait_sum, self.wait_max, self.cpu_seconds)
 
 
 @dataclasses.dataclass
@@ -599,11 +595,9 @@ class FleetShardEngine:
         self.index = CapacityIndex(self.n_nodes, config.node_cpus)
         self.node_images: list[set[str]] = [set() for _ in range(self.n_nodes)]
         self.node_layers: list[set[str]] = [set() for _ in range(self.n_nodes)]
-        # -- pooled slot records (parallel arrays + free list) --------------
-        self._slot_node: list[int] = []
-        self._slot_req: list[int] = []
-        self._slot_tenant: list[int] = []
-        self._slot_busy: list[float] = []
+        # -- pooled slot records (one tuple per slot + free list) -----------
+        #: slot -> (node, cpus, shard-local tenant, busy seconds)
+        self._slots: list[tuple[int, int, int, float]] = []
         self._free_slots: list[int] = []
         #: trace index each slot is running (for requeue on node crash)
         self._slot_k: list[int] = []
@@ -616,7 +610,9 @@ class FleetShardEngine:
         self._calendar: dict[int, list[tuple[float, int, int, int]]] = {}
         self._cal_heap: list[int] = []
         self._cal_size = 0
-        self._local_heap: list[tuple[float, int, int, int]] = []
+        #: the current epoch's completion records, latest first, so
+        #: ``pop()`` delivers the earliest ``(end, seq)``
+        self._local: list[tuple[float, int, int, int]] = []
         self._local_epoch = -1
         self._comp_seq = 0
         self._pending: deque[tuple[int, float]] = deque()
@@ -637,13 +633,28 @@ class FleetShardEngine:
         self._warm_start_s = config.warm_start_s
         self._inv_unpack = 1.0 / config.unpack_bandwidth
         self._digests = self.catalog.digests
+        #: per image, its (layer digest, compressed size) pairs
+        self._image_layers = [
+            tuple(zip(digests, sizes)) for digests, sizes in
+            zip(self.catalog.layer_digests, self.catalog.layer_sizes)
+        ]
         # -- streaming results (peaks/sums folded into the result at end) ---
         self._warm_starts = 0
         self._makespan = 0.0
         self._pending_peak = 0
         self._live_peak = 0
         self._wait_hist = [0] * (len(WAIT_BUCKETS) + 1)
-        self.stats = [TenantStats() for _ in self.tenant_ids]
+        # per-tenant columns, indexed by shard-local tenant (the report's
+        # tenant_columns order); the fleet never keeps a per-container record
+        n_tenants = len(self.tenant_ids)
+        self._t_starts = [0] * n_tenants
+        self._t_completions = [0] * n_tenants
+        self._t_failed = [0] * n_tenants
+        self._t_cold_pulls = [0] * n_tenants
+        self._t_pulled_bytes = [0] * n_tenants
+        self._t_wait_sum = [0.0] * n_tenants
+        self._t_wait_max = [0.0] * n_tenants
+        self._t_cpu_seconds = [0.0] * n_tenants
         self.result = FleetShardResult(shard=shard, tenants={})
         self.result.demand_bytes = int(
             np.asarray(self.catalog.compressed_sizes)[self._image_arr].sum()
@@ -741,15 +752,15 @@ class FleetShardEngine:
         index = self.index
         if node in index.down:
             return  # overlapping crash windows: first one owns the node
-        slot_node = self._slot_node
+        slots = self._slots
         slot_live = self._slot_live
         slot_gen = self._slot_gen
         slot_k = self._slot_k
         free_slots = self._free_slots
         pending = self._pending
         killed = 0
-        for slot in range(len(slot_node)):
-            if slot_live[slot] and slot_node[slot] == node:
+        for slot in range(len(slots)):  # slot order is the requeue order
+            if slot_live[slot] and slots[slot][0] == node:
                 slot_live[slot] = False
                 slot_gen[slot] += 1
                 free_slots.append(slot)
@@ -786,17 +797,17 @@ class FleetShardEngine:
         res.pending_peak = self._pending_peak
         res.live_peak = self._live_peak
         res.wait_hist = self._wait_hist
-        res.tenants = {
-            gid: stats.as_tuple()
-            for gid, stats in zip(self.tenant_ids, self.stats)
-        }
-        res.starts = sum(s.starts for s in self.stats)
-        res.completions = sum(s.completions for s in self.stats)
-        res.failed = sum(s.failed for s in self.stats)
-        res.cold_pulls = sum(s.cold_pulls for s in self.stats)
-        res.pulled_bytes = sum(s.pulled_bytes for s in self.stats)
-        res.wait_sum = sum(s.wait_sum for s in self.stats)
-        res.wait_max = max((s.wait_max for s in self.stats), default=0.0)
+        columns = (self._t_starts, self._t_completions, self._t_failed,
+                   self._t_cold_pulls, self._t_pulled_bytes, self._t_wait_sum,
+                   self._t_wait_max, self._t_cpu_seconds)
+        res.tenants = dict(zip(self.tenant_ids, zip(*columns)))
+        res.starts = sum(self._t_starts)
+        res.completions = sum(self._t_completions)
+        res.failed = sum(self._t_failed)
+        res.cold_pulls = sum(self._t_cold_pulls)
+        res.pulled_bytes = sum(self._t_pulled_bytes)
+        res.wait_sum = sum(self._t_wait_sum)
+        res.wait_max = max(self._t_wait_max, default=0.0)
         res.registry_pushes = self.registry.stats["pushes"]
         res.registry_pulls = self.registry.stats["pulls"]
         res.blob_uploads_skipped = self.registry.stats["blob_uploads_skipped"]
@@ -815,9 +826,9 @@ class FleetShardEngine:
             leaks.append(f"{self._live} container slot(s) still live after drain")
         if self._pending:
             leaks.append(f"{len(self._pending)} start(s) still queued for placement")
-        if self._cal_size or self._local_heap:
+        if self._cal_size or self._local:
             leaks.append(
-                f"{self._cal_size + len(self._local_heap)} completion(s) never delivered"
+                f"{self._cal_size + len(self._local)} completion(s) never delivered"
             )
         if self.index.down:
             leaks.append(
@@ -846,14 +857,14 @@ class FleetShardEngine:
         armed = self._armed
         prof = _profile.counters
         i = e = 0
-        while i < n or self._cal_size or self._local_heap or pending or e < ne:
+        while i < n or self._cal_size or self._local or pending or e < ne:
             # next epoch with work: earliest arrival, completion bucket,
             # or fault edge
             epoch = None
             if i < n:
                 epoch = int(times[i] // epoch_len)
             while cal_heap and calendar.get(cal_heap[0]) is None:
-                heappop(cal_heap)  # bucket consumed into a local heap earlier
+                heappop(cal_heap)  # bucket claimed as an epoch's local list earlier
             if cal_heap and (epoch is None or cal_heap[0] < epoch):
                 epoch = cal_heap[0]
             if e < ne:
@@ -867,15 +878,15 @@ class FleetShardEngine:
             boundary = (epoch + 1) * epoch_len
             if boundary > env.now:
                 yield env.timeout_until(boundary)
-            # claim this epoch's completion bucket as the live local heap
+            # claim this epoch's completion bucket as the live local list
             local = calendar.pop(epoch, None)
             if local is None:
                 local = []
             else:
                 if cal_heap and cal_heap[0] == epoch:
                     heappop(cal_heap)
-                heapify(local)
-            self._local_heap = local
+                local.sort(reverse=True)
+            self._local = local
             self._local_epoch = epoch
             # arrivals that fall inside this epoch
             j = i
@@ -893,13 +904,13 @@ class FleetShardEngine:
                 if e < ne:
                     edge = edges[e]
                     et = edge[0]
-                    if (et < boundary and (not local or et <= local[0][0])
+                    if (et < boundary and (not local or et <= local[-1][0])
                             and (k >= j or et <= times[k])):
                         e += 1
                         self._deliver_edge(edge)
                         continue
-                if local and (k >= j or local[0][0] <= times[k]):
-                    end_t, _seq, slot, gen = heappop(local)
+                if local and (k >= j or local[-1][0] <= times[k]):
+                    end_t, _seq, slot, gen = local.pop()
                     if armed and slot_gen[slot] != gen:
                         continue  # slot killed by a crash; counted there
                     self._cal_size -= 1
@@ -933,10 +944,12 @@ class FleetShardEngine:
         reg = _metrics.registry
         t = rec.sample(self.env.now, reg if reg.enabled else None)
         shard = str(self.shard)
-        stats = self.stats
-        starts = sum(s.starts for s in stats)
-        cold = sum(s.cold_pulls for s in stats)
-        wait_sum = sum(s.wait_sum for s in stats)
+        t_starts = self._t_starts
+        t_cold = self._t_cold_pulls
+        t_wait_sum = self._t_wait_sum
+        starts = sum(t_starts)
+        cold = sum(t_cold)
+        wait_sum = sum(t_wait_sum)
         rec.record("fleet.pending", t, len(self._pending), shard=shard)
         rec.record("fleet.live", t, self._live, shard=shard)
         rec.record("fleet.starts_total", t, starts, shard=shard)
@@ -946,22 +959,22 @@ class FleetShardEngine:
             (self._warm_starts / starts) if starts else 0.0, shard=shard,
         )
         rec.record(
-            "fleet.pulled_bytes_total", t,
-            sum(s.pulled_bytes for s in stats), shard=shard,
+            "fleet.pulled_bytes_total", t, sum(self._t_pulled_bytes),
+            shard=shard,
         )
         rec.record(
             "fleet.wait_mean", t, (wait_sum / starts) if starts else 0.0,
             shard=shard,
         )
         rec.record(
-            "fleet.wait_max", t,
-            max((s.wait_max for s in stats), default=0.0), shard=shard,
+            "fleet.wait_max", t, max(self._t_wait_max, default=0.0),
+            shard=shard,
         )
         rec.record("fleet.quota_used", t, self._quota_total, shard=shard)
         # chaos-facing series: absolute gauges plus per-tick deltas (the
         # SLO rules threshold the deltas — probe-recorded series get no
         # automatic .rate derivation)
-        failed = sum(s.failed for s in stats)
+        failed = sum(self._t_failed)
         rec.record("fleet.failed_total", t, failed, shard=shard)
         rec.record("fleet.nodes_down", t, len(self.index.down), shard=shard)
         rec.record(
@@ -977,19 +990,19 @@ class FleetShardEngine:
         )
         self._last_retries = retries
         if len(self.tenant_ids) <= TENANT_SERIES_MAX:
-            for gid, st in zip(self.tenant_ids, stats):
+            for tloc, gid in enumerate(self.tenant_ids):
                 tenant = f"t{gid:05}"
-                rec.record("fleet.tenant.starts", t, st.starts, tenant=tenant)
-                rec.record("fleet.tenant.cold_pulls", t, st.cold_pulls, tenant=tenant)
+                n = t_starts[tloc]
+                n_cold = t_cold[tloc]
+                rec.record("fleet.tenant.starts", t, n, tenant=tenant)
+                rec.record("fleet.tenant.cold_pulls", t, n_cold, tenant=tenant)
                 rec.record(
                     "fleet.tenant.warm_rate", t,
-                    ((st.starts - st.cold_pulls) / st.starts) if st.starts else 0.0,
-                    tenant=tenant,
+                    ((n - n_cold) / n) if n else 0.0, tenant=tenant,
                 )
                 rec.record(
                     "fleet.tenant.wait_mean", t,
-                    (st.wait_sum / st.starts) if st.starts else 0.0,
-                    tenant=tenant,
+                    (t_wait_sum[tloc] / n) if n else 0.0, tenant=tenant,
                 )
 
     def _arrive(self, k: int, t: float) -> None:
@@ -1009,16 +1022,15 @@ class FleetShardEngine:
         img = self._images[k]
         digest = self._digests[img]
         node_set = self.node_images[node]
-        stats = self.stats[tloc]
         if digest in node_set:
             startup = self._warm_start_s
             self._warm_starts += 1
         else:
             try:
-                startup = self._cold_pull(tloc, img, node, place_t, stats)
+                startup = self._cold_pull(tloc, img, node, place_t)
             except RetryExhausted:
                 self.index.release(node, req)
-                stats.failed += 1
+                self._t_failed[tloc] += 1
                 return
             node_set.add(digest)
         busy = startup + self._durations[k]
@@ -1027,19 +1039,13 @@ class FleetShardEngine:
         free_slots = self._free_slots
         if free_slots:
             slot = free_slots.pop()
-            self._slot_node[slot] = node
-            self._slot_req[slot] = req
-            self._slot_tenant[slot] = tloc
-            self._slot_busy[slot] = busy
+            self._slots[slot] = (node, req, tloc, busy)
             if armed:
                 self._slot_k[slot] = k
                 self._slot_live[slot] = True
         else:
-            slot = len(self._slot_node)
-            self._slot_node.append(node)
-            self._slot_req.append(req)
-            self._slot_tenant.append(tloc)
-            self._slot_busy.append(busy)
+            slot = len(self._slots)
+            self._slots.append((node, req, tloc, busy))
             self._slot_gen.append(0)
             if armed:
                 self._slot_k.append(k)
@@ -1055,7 +1061,7 @@ class FleetShardEngine:
         record = (end, seq, slot, gen)
         epoch = int(end // self._epoch_len)
         if epoch == self._local_epoch:
-            heappush(self._local_heap, record)
+            insort(self._local, record, key=_latest_first)
         else:
             bucket = self._calendar.get(epoch)
             if bucket is None:
@@ -1065,85 +1071,88 @@ class FleetShardEngine:
                 bucket.append(record)
         if end > self._makespan:
             self._makespan = end
-        stats.starts += 1
+        self._t_starts[tloc] += 1
         wait = place_t - arrival_t
-        if wait > 0.0:
-            stats.wait_sum += wait
-            if wait > stats.wait_max:
-                stats.wait_max = wait
         hist = self._wait_hist
-        for b, bound in enumerate(WAIT_BUCKETS):
-            if wait <= bound:
-                hist[b] += 1
-                break
+        if wait > 0.0:
+            self._t_wait_sum[tloc] += wait
+            if wait > self._t_wait_max[tloc]:
+                self._t_wait_max[tloc] = wait
+            for b, bound in enumerate(WAIT_BUCKETS):
+                if wait <= bound:
+                    hist[b] += 1
+                    break
+            else:
+                hist[-1] += 1
         else:
-            hist[-1] += 1
+            hist[0] += 1  # WAIT_BUCKETS[0] is 0.0
         if self._metric_keys is not None:
             _metrics.registry.inc_series(self._metric_keys[tloc][0])
 
-    def _cold_pull(self, tloc: int, img: int, node: int, t: float,
-                   stats: TenantStats) -> float:
+    def _cold_pull(self, tloc: int, img: int, node: int, t: float) -> float:
         """Pull through the real registry; returns the startup cost."""
-        catalog = self.catalog
         node_layers = self.node_layers[node]
         missing = 0
-        for digest, size in zip(catalog.layer_digests[img], catalog.layer_sizes[img]):
+        for digest, size in self._image_layers[img]:
             if digest not in node_layers:
                 missing += size
         repo = self._repos[tloc][img]
+        try:
+            _image, cost = self.registry.pull_image(
+                repo, "v1", now=t, have_digests=node_layers,
+            )
+            elapsed = 0.0
+        except RegistryUnavailable as exc:
+            elapsed, cost = self._retry_pull(repo, t, node_layers, exc)
+        node_layers.update(self.catalog.layer_digests[img])
+        self._t_cold_pulls[tloc] += 1
+        self._t_pulled_bytes[tloc] += missing
+        if self._metric_keys is not None:
+            _metrics.registry.inc_series(self._metric_keys[tloc][1])
+        return elapsed + cost + missing * self._inv_unpack + self._warm_start_s
+
+    def _retry_pull(self, repo: str, t: float, node_layers: set[str],
+                    exc: RegistryUnavailable) -> tuple[float, float]:
+        """Back off and re-pull after the first attempt failed; returns
+        ``(elapsed before the successful attempt, its cost)``."""
         policy = self._retry
-        attempts = 0
+        attempts = 1
         elapsed = 0.0
         while True:
+            elapsed += exc.cost
+            self.result.retry_attempts += 1
+            _faults.note_retry("fleet.registry")
+            if policy.gives_up(attempts, elapsed):
+                raise RetryExhausted("fleet.registry", attempts, elapsed, exc) from exc
+            delay = policy.delay(attempts - 1)
+            if exc.retry_after is not None and exc.retry_after > delay:
+                delay = exc.retry_after
+            elapsed += delay
             attempts += 1
             try:
                 _image, cost = self.registry.pull_image(
                     repo, "v1", now=t + elapsed, have_digests=node_layers,
                 )
-                break
-            except RegistryUnavailable as exc:
-                elapsed += exc.cost
-                self.result.retry_attempts += 1
-                _faults.note_retry("fleet.registry")
-                if policy.gives_up(attempts, elapsed):
-                    raise RetryExhausted("fleet.registry", attempts, elapsed, exc) from exc
-                delay = policy.delay(attempts - 1)
-                if exc.retry_after is not None and exc.retry_after > delay:
-                    delay = exc.retry_after
-                elapsed += delay
-        node_layers.update(catalog.layer_digests[img])
-        stats.cold_pulls += 1
-        stats.pulled_bytes += missing
-        if self._metric_keys is not None:
-            _metrics.registry.inc_series(self._metric_keys[tloc][1])
-        return elapsed + cost + missing * self._inv_unpack + self._warm_start_s
+                return elapsed, cost
+            except RegistryUnavailable as retry_exc:
+                exc = retry_exc
 
     def _complete(self, slot: int, end_t: float) -> None:
-        node = self._slot_node[slot]
-        req = self._slot_req[slot]
-        stats = self.stats[self._slot_tenant[slot]]
+        node, req, tloc, busy = self._slots[slot]
         index = self.index
         index.release(node, req)
-        stats.completions += 1
-        stats.cpu_seconds += self._slot_busy[slot] * req
+        self._t_completions[tloc] += 1
+        self._t_cpu_seconds[tloc] += busy * req
         self._live -= 1
         if self._armed:
             self._slot_live[slot] = False
         self._free_slots.append(slot)
-        # FIFO head-blocking drain, inlined (this runs once per
-        # completion; _drain_pending is the same loop for the rare
-        # crash-requeue and node-restore paths)
+        # after every drain the queue head fits on no node, and until the
+        # next drain only this node gained cores — so drain only if the
+        # head now fits here (crash and restore drain unguarded)
         pending = self._pending
-        if pending:
-            cpus = self._cpus
-            while pending:
-                k, arrival_t = pending[0]
-                req2 = cpus[k]
-                node2 = index.alloc(req2)
-                if node2 is None:
-                    break
-                pending.popleft()
-                self._place(k, arrival_t, end_t, node2, req2)
+        if pending and index.free[node] >= self._cpus[pending[0][0]]:
+            self._drain_pending(end_t)
 
     def _drain_pending(self, place_t: float) -> None:
         """Place queued starts head-first until the head no longer fits

@@ -76,6 +76,19 @@ class EventPerStartEngine(fleet.FleetShardEngine):
         self._arrive(event._value, self._times[event._value])
         self._settle()
 
+    def _complete(self, slot, end_t):
+        """Release the slot, then drain the queue unconditionally — the
+        oracle does not share the fast engine's fit-checked drain."""
+        node, req, tloc, busy = self._slots[slot]
+        self.index.release(node, req)
+        self._t_completions[tloc] += 1
+        self._t_cpu_seconds[tloc] += busy * req
+        self._live -= 1
+        if self._armed:
+            self._slot_live[slot] = False
+        self._free_slots.append(slot)
+        self._drain_pending(end_t)
+
     def _on_completion(self, event):
         end, _seq, slot, gen = event._value
         if self._slot_gen[slot] == gen:  # else killed by a crash

@@ -1,8 +1,11 @@
 """Tests for the OCI distribution registry: push/pull, dedup, tenancy,
 quotas, auth, artifacts, squashing."""
 
+import itertools
+
 import pytest
 
+from repro.faults import FaultEvent, FaultKind, FaultPlan, injector
 from repro.fs import FileTree
 from repro.oci import Builder, ImageConfig, Layer, OCIImage
 from repro.oci.catalog import BaseImageCatalog
@@ -16,6 +19,8 @@ from repro.registry import (
     RegistryError,
 )
 from repro.registry.registries import COSIGN_MEDIA_TYPE
+from repro.registry.storage import StorageError
+from repro.sim import Environment
 
 
 def small_image(content: bytes = b"app") -> OCIImage:
@@ -24,9 +29,43 @@ def small_image(content: bytes = b"app") -> OCIImage:
     return OCIImage(ImageConfig(), [Layer(t, created_by="base")])
 
 
+def three_layer_image(tag: bytes = b"app") -> OCIImage:
+    """A base/runtime/app stack with distinct layer sizes."""
+    layers = []
+    for i, size in enumerate((300_000, 2_000_000, 45_000)):
+        t = FileTree()
+        t.create_file(f"/layer{i}/blob", size=size)
+        t.create_file(f"/layer{i}/id", data=tag)
+        layers.append(Layer(t, created_by=f"layer {i}"))
+    return OCIImage(ImageConfig(cmd=("/layer2/blob",)), layers)
+
+
+def reference_pull_cost(registry, image, have, factor=1.0):
+    """What a pull costs, re-derived from one store read per layer."""
+    cost = registry.transport.request_cost(2048)  # manifest GET
+    for digest in image.manifest.layer_digests:
+        blob, store_cost = registry.store.get(digest)
+        if digest not in have:
+            cost += store_cost + registry.transport.request_cost(blob.size)
+    return cost * factor
+
+
 @pytest.fixture
 def registry():
     return OCIDistributionRegistry(name="test")
+
+
+@pytest.fixture
+def slow_blob_window():
+    """A registry_slow_blob window over t in [100, 150); yields its factor."""
+    plan = FaultPlan([FaultEvent(
+        kind=FaultKind.REGISTRY_SLOW_BLOB, at=100.0, duration=50.0, factor=3.5,
+    )])
+    injector.arm(plan, Environment())
+    try:
+        yield 3.5
+    finally:
+        injector.disarm()
 
 
 def test_push_pull_roundtrip(registry):
@@ -151,3 +190,78 @@ def test_squashing_gated_and_correct():
     flat = squasher.squashed_image("r/app", "v1")
     assert len(flat.layers) == 1
     assert flat.flatten().exists("/a") and flat.flatten().exists("/b")
+
+
+def test_rejected_push_stores_nothing_and_stays_rejected():
+    """A push the quota rejects leaves no blob behind, so retrying it
+    cannot slip through for free."""
+    quotas = QuotaManager()
+    reg = OCIDistributionRegistry(name="t", multi_tenant=True, quotas=quotas)
+    reg.create_tenant("small")
+    quotas.set_limit("small", 1000)
+    reg.push_image("small/app", "tiny", small_image())
+
+    def snapshot():
+        tags = {repo: reg.list_tags(repo) for repo in reg.list_repositories()}
+        return (len(reg.store), reg.store.used_bytes, dict(reg.store.stats),
+                dict(reg.stats), tags, quotas.used("small"))
+
+    before = snapshot()
+    for _attempt in range(2):
+        with pytest.raises(QuotaExceeded):
+            reg.push_image("small/app", "v1", three_layer_image())
+        assert snapshot() == before
+
+
+def test_pull_plan_cost_matches_per_layer_reads(registry, slow_blob_window):
+    """Every have-set, inside and outside a slow-blob window: the cost is
+    bit-identical to one store read per layer, and each pull still counts
+    one store read per layer."""
+    image = three_layer_image()
+    registry.push_image("hpc/app", "v1", image)
+    digests = image.manifest.layer_digests
+    for now, factor in ((0.0, 1.0), (120.0, slow_blob_window)):
+        for r in range(len(digests) + 1):
+            for have in map(set, itertools.combinations(digests, r)):
+                expected = reference_pull_cost(registry, image, have, factor)
+                gets = registry.store.stats["gets"]
+                pulls = registry.stats["pulls"]
+                pulled, cost = registry.pull_image(
+                    "hpc/app", "v1", now=now, have_digests=have
+                )
+                assert cost == expected
+                assert pulled.digest == image.digest
+                assert registry.store.stats["gets"] == gets + len(digests)
+                assert registry.stats["pulls"] == pulls + 1
+
+
+def test_pull_after_layer_delete_raises(registry):
+    image = three_layer_image()
+    registry.push_image("hpc/app", "v1", image)
+    registry.pull_image("hpc/app", "v1")  # resolves the manifest once
+    registry.store.delete(image.manifest.layer_digests[1])
+    gets = registry.store.stats["gets"]
+    with pytest.raises(StorageError, match="blob not found"):
+        registry.pull_image("hpc/app", "v1")
+    # the first layer was read, the deleted second one was looked up
+    assert registry.store.stats["gets"] == gets + 2
+
+
+def test_garbage_collect_leaves_no_plan_serving_a_purged_blob(registry):
+    old, new = three_layer_image(b"old"), three_layer_image(b"new")
+    registry.push_image("hpc/app", "v1", old)
+    registry.pull_image("hpc/app", "v1")
+    registry.push_image("hpc/app", "v1", new)  # retag: `old` is unreferenced
+    registry.pull_image("hpc/app", "v1")
+    assert registry.garbage_collect() == 3  # old's layers; the config is shared
+    store = registry.store
+    for generation, _image, _cost, layers in registry._pull_plans.values():
+        if generation == store.generation:
+            assert all(store.has(digest) for digest, _size, _cost in layers)
+    with pytest.raises(RegistryError, match="no such image"):
+        registry.pull_image("hpc/app", "v0")
+    # re-pushing the purged image serves fresh reads of the new blobs
+    registry.push_image("hpc/app", "v0", old)
+    expected = reference_pull_cost(registry, old, set())
+    pulled, cost = registry.pull_image("hpc/app", "v0")
+    assert pulled.digest == old.digest and cost == expected

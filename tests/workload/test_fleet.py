@@ -5,7 +5,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main
 from repro.faults import find_leaks
@@ -81,19 +81,28 @@ def test_double_run_is_deterministic():
     assert first == second
 
 
+#: few small nodes, many starts: the placement queue almost never empties,
+#: so nearly every completion meets the fit-checked drain
+SATURATED = (4, 4, 600)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     zipf_s=st.sampled_from((0.0, 0.8, 1.6)),
     epoch=st.sampled_from((0.25, 1.0, 7.5)),
-    shape=st.sampled_from(((16, 8), (3, 4), (2, 8))),  # (nodes, node_cpus)
+    # (nodes, node_cpus, starts)
+    shape=st.sampled_from(((16, 8, 150), (3, 4, 150), (2, 8, 150), SATURATED)),
     chaos=st.booleans(),
 )
+@example(seed=3, zipf_s=0.8, epoch=1.0, shape=SATURATED, chaos=False)
+@example(seed=3, zipf_s=0.8, epoch=1.0, shape=SATURATED, chaos=True)
 def test_naive_mode_matches_optimized_engine(seed, zipf_s, epoch, shape, chaos):
     """The epoch-batched engine equals the event-per-start oracle at any
     epoch length, pending-heavy or not, under a fault plan or not."""
-    config = FleetConfig(tenants=4, nodes=shape[0], node_cpus=shape[1],
-                         starts=150, images=4, shards=2, seed=seed,
+    nodes, node_cpus, starts = shape
+    config = FleetConfig(tenants=4, nodes=nodes, node_cpus=node_cpus,
+                         starts=starts, images=4, shards=2, seed=seed,
                          zipf_s=zipf_s, epoch=epoch)
     plan = generate_fleet_plan(config) if chaos else None
     fast = fleet_report_document(run_fleet(config, plan=plan))
