@@ -345,7 +345,7 @@ class ContainerEngine:
 
         rootfs = self._prepare_rootfs(pulled, user, result)
         spec = self._make_spec(pulled, command, user)
-        spec.devices = tuple(set(spec.devices) | set(devices))
+        spec.devices = tuple(dict.fromkeys((*spec.devices, *devices)))
         spec.cgroup_path = cgroup_path
         bundle = Bundle(rootfs=rootfs, spec=spec, origin=self.info.name)
 

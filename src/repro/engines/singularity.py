@@ -151,9 +151,9 @@ class _SingularityBase(ContainerEngine):
                     target_path="/.singularity.d/libs",
                 )
             )
-            spec.devices = tuple(
-                set(spec.devices) | {gpu.device_node for gpu in self.node.gpus}
-            )
+            spec.devices = tuple(dict.fromkeys(
+                (*spec.devices, *(gpu.device_node for gpu in self.node.gpus))
+            ))
         return spec
 
     # -- hooks: "manually, requires root" (Table 1) ------------------------------------------

@@ -1,8 +1,12 @@
-"""The Kubernetes API server: typed object store with watch streams."""
+"""The Kubernetes API server: typed object store with watch streams.
+
+Watches are synchronous callbacks; every write builds one
+:class:`WatchEvent` (a plain named tuple, the cheapest record Python
+offers) and fans it out, keyed watchers by a single dict probe.
+"""
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import itertools
 import typing as _t
@@ -18,8 +22,7 @@ class WatchEventType(enum.Enum):
     DELETED = "DELETED"
 
 
-@dataclasses.dataclass(frozen=True)
-class WatchEvent:
+class WatchEvent(_t.NamedTuple):
     type: WatchEventType
     kind: str
     obj: object

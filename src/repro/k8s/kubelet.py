@@ -4,6 +4,15 @@ Supports the rootless mode §6.5 depends on: running as an unprivileged
 WLM user inside an allocation, which requires user namespaces, cgroup
 v2, and a delegated cgroup subtree — all verified against the node's
 (simulated) kernel at startup.
+
+The sync loop is tickless.  With pods pending it polls on the
+``sync_interval`` grid; idle, it parks on a :class:`~repro.sim.Signal`
+the pod watch fires.  The idle node's heartbeat does not resume the
+parked generator: its two halves run as queued callbacks
+(:meth:`~repro.sim.Environment.call_at`) in the queue slots of the grid
+tick it is due on and of its RPC timeout, so every event of the polling
+loop keeps its place in the total event order and an idle node costs
+only those two queue entries.
 """
 
 from __future__ import annotations
@@ -80,6 +89,17 @@ class Kubelet:
         self._inbox_uids: set[str] = set()
         self._metric_keys: tuple | None = None
         self.stats = {"pods_started": 0, "pods_finished": 0, "sync_loops": 0}
+        # -- idle heartbeat (see _sync_loop) --------------------------------
+        #: grid origin and time of the last heartbeat the loop (or an idle
+        #: heartbeat callback) completed
+        self._epoch = 0.0
+        self._last_heartbeat = 0.0
+        #: the token the idle loop is parked on, and the pending heartbeat
+        #: callback (tick, then RPC completion) while it is parked
+        self._token = None
+        self._heartbeat_call = None
+        #: grid ticks the armed heartbeat skips over
+        self._skipped = 0
 
     @property
     def rootless(self) -> bool:
@@ -132,6 +152,7 @@ class Kubelet:
         if not self._running:
             return
         self._running = False
+        self._cancel_heartbeat()
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt(cause="kubelet stop")
 
@@ -150,6 +171,7 @@ class Kubelet:
         if _metrics.registry.enabled:
             _metrics.inc("k8s.kubelet.crashes", node=self.node_name)
         self._running = False
+        self._cancel_heartbeat()
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt(cause=reason)
 
@@ -167,10 +189,13 @@ class Kubelet:
         if phase == "crash" and event.target == self.node_name:
             self.crash(reason=f"node crash (injected, t={event.at:.1f})")
 
-    def _rpc(self):
+    def _rpc_cost(self) -> float:
         if self.network is not None:
-            return self.env.timeout(self.network.rpc_cost())
-        return self.env.timeout(self.api.request_latency)
+            return self.network.rpc_cost()
+        return self.api.request_latency
+
+    def _rpc(self):
+        return self.env.timeout(self._rpc_cost())
 
     def _main(self):
         yield self.env.timeout(self.startup_cost)
@@ -189,8 +214,7 @@ class Kubelet:
             node = existing
             self.api.update("Node", node)
         self.k8s_node = node
-        last_heartbeat = self.env.now
-        wakeup = self._wakeup
+        self._last_heartbeat = self.env.now
         watch_cb = self._on_pod_watch
         self.api.watch("Pod", watch_cb, replay_existing=False, key=self.node_name)
         # Seed the inbox from the store: pods bound to this node before
@@ -208,47 +232,53 @@ class Kubelet:
                 self._inbox_uids.add(pod.metadata.uid)
                 self._inbox.append(pod)
         try:
-            # Tickless sync loop.  With pending pods it polls on the same
-            # 0.5 s grid as before; idle, it parks until either a pod
-            # lands on this node (watch fires `wakeup`) or the grid tick
-            # that is due for a heartbeat.  A signal-woken loop re-aligns
-            # to the next grid boundary, so every observable virtual time
-            # matches the polling version bit for bit.
-            while self._running:
-                epoch = self.env.now
-                if self._pending_pods():
-                    yield self.env.timeout(self.sync_interval)
-                else:
-                    tick = epoch + self.sync_interval
-                    skipped = 0
-                    while tick - last_heartbeat < self.heartbeat_interval:
-                        tick += self.sync_interval
-                        skipped += 1
-                    token = wakeup.park(tick)
-                    cause = yield token
-                    wakeup.unpark(token)
-                    if cause is Signal.FIRED:
-                        tick, skipped = next_tick(epoch, self.sync_interval, self.env.now)
-                        count_skipped_ticks(skipped)
-                        yield self.env.timeout_until(tick)
-                    else:
-                        count_skipped_ticks(skipped)
-                self.stats["sync_loops"] += 1
-                if _metrics.registry.enabled:
-                    _metrics.registry.inc_series(self._series_keys()[0])
-                yield from self._sync()
-                if self.env.now - last_heartbeat >= self.heartbeat_interval:
-                    node.condition.last_heartbeat = self.env.now
-                    yield self._rpc()
-                    self.api.update("Node", node)
-                    last_heartbeat = self.env.now
-                    _trace.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
+            yield from self._sync_loop(node)
         except Interrupt:
             pass
         _faults.unregister("wlm.node", self._on_node_fault)
         self.api.unwatch("Pod", watch_cb)
         node.condition.ready = False
         self.api.update("Node", node)
+
+    def _sync_loop(self, node: K8sNode):
+        """Tickless sync loop.
+
+        With pending pods it polls on the ``sync_interval`` grid.  Idle,
+        it parks until a pod lands on this node (the watch fires
+        ``_wakeup``); meanwhile each due heartbeat runs as the callbacks
+        :meth:`_heartbeat_tick` and :meth:`_heartbeat_sent`, in the slots
+        of the grid tick it is due on and of its RPC timeout.  Those
+        callbacks move the grid epoch and last heartbeat on, and hand
+        the loop pods that landed during the RPC.  A signal-woken loop
+        re-aligns to the next grid boundary, so every observable virtual
+        time matches a loop that polled every tick.
+        """
+        wakeup = self._wakeup
+        while self._running:
+            if self._pending_pods():
+                yield self.env.timeout(self.sync_interval)
+            else:
+                self._epoch = self.env.now
+                self._arm_heartbeat()
+                token = self._token = wakeup.park()
+                cause = yield token
+                wakeup.unpark(token)
+                if cause is not Signal.FIRED:
+                    continue  # pods landed during a heartbeat RPC
+                tick, skipped = next_tick(self._epoch, self.sync_interval, self.env.now)
+                count_skipped_ticks(skipped)
+                yield self.env.timeout_until(tick)
+            self.stats["sync_loops"] += 1
+            if _metrics.registry.enabled:
+                _metrics.registry.inc_series(self._series_keys()[0])
+            if self._inbox:
+                yield from self._sync()
+            if self.env.now - self._last_heartbeat >= self.heartbeat_interval:
+                node.condition.last_heartbeat = self.env.now
+                yield self._rpc()
+                self.api.update("Node", node)
+                self._last_heartbeat = self.env.now
+                _trace.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
 
     def _on_pod_watch(self, event) -> None:
         """The Pod watch callback: route pending pods bound here to the
@@ -261,7 +291,58 @@ class Kubelet:
         if uid not in self._inbox_uids and uid not in self._active_pods:
             self._inbox_uids.add(uid)
             self._inbox.append(pod)
-        self._wakeup.fire(event)
+        if self._wakeup.fire(event):
+            # Woken from an idle park: the heartbeat tick it was parked
+            # toward is off, before its slot comes up.
+            self._cancel_heartbeat()
+
+    # -- idle heartbeat ----------------------------------------------------------------
+    def _arm_heartbeat(self) -> None:
+        """Queue the idle heartbeat at the first grid tick after
+        ``_epoch`` that is ``heartbeat_interval`` past the last one."""
+        interval = self.sync_interval
+        last, due = self._last_heartbeat, self.heartbeat_interval
+        tick = self._epoch + interval
+        skipped = 0
+        while tick - last < due:
+            tick += interval
+            skipped += 1
+        self._skipped = skipped
+        self._heartbeat_call = self.env.call_at(tick, self._heartbeat_tick, self._proc)
+
+    def _heartbeat_tick(self) -> None:
+        """Heartbeat, first half: the sync at the due tick (no pods, so
+        no sync work) and the start of the Node-status RPC."""
+        self._wakeup.unpark(self._token)
+        count_skipped_ticks(self._skipped)
+        self.stats["sync_loops"] += 1
+        if _metrics.registry.enabled:
+            _metrics.registry.inc_series(self._series_keys()[0])
+        env = self.env
+        self.k8s_node.condition.last_heartbeat = env.now
+        self._heartbeat_call = env.call_at(
+            env.now + self._rpc_cost(), self._heartbeat_sent, self._proc
+        )
+
+    def _heartbeat_sent(self) -> None:
+        """Heartbeat, second half: the RPC lands.  Re-park and re-arm
+        from here, or resume the loop for pods that landed meanwhile."""
+        self._heartbeat_call = None
+        self.api.update("Node", self.k8s_node)
+        self._last_heartbeat = self._epoch = self.env.now
+        if _trace.tracer.enabled:
+            _trace.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
+        if self._pending_pods():
+            self._proc.resume_now()
+        else:
+            self._wakeup.park(token=self._token)
+            self._arm_heartbeat()
+
+    def _cancel_heartbeat(self) -> None:
+        call = self._heartbeat_call
+        if call is not None:
+            call.fn = None
+            self._heartbeat_call = None
 
     def _pending_pods(self) -> bool:
         return bool(self._inbox)

@@ -10,7 +10,21 @@ pick.  Both compute the same function — the minimum of
 fitting nodes — so binds, timings, traces and metrics are identical:
 ``tests/k8s/test_scheduler_index.py`` holds the scheduler equal to the
 linear-scan oracle in ``tests/oracles/control_plane.py`` by property
-test.
+test.  A Node update that leaves a node's ratio unchanged pushes no new
+entry while the node's live entry is still in the heap.
+
+The loop waits on a latching bell every Pod and Node event rings, then
+sleeps ``pass_latency`` and runs a pass.  Most rings are idle-node
+heartbeats with nothing pending, and such a pass binds and emits
+nothing.  So while nothing is pending (and the tracer, which draws every
+pass, is off) the loop only reserves the pass's queue slot
+(:meth:`~repro.sim.Environment.reserve`) and parks.  A ring before that
+slot queues the pass in it after all and latches the bell, as it would
+have with the pass queued.  A ring after it queues a call in the slot
+the bell's wake would take, which holds the next pass the same way or
+resumes the loop to queue it.  The total event order, and so every
+result, is that of the bell-driven loop in
+``tests/oracles/control_plane.py``.
 """
 
 from __future__ import annotations
@@ -55,13 +69,21 @@ class K8sScheduler:
         #: interned per-node metric keys for the bind counter
         self._bind_keys: dict[str, tuple] = {}
         self._unsched_key = None
+        #: ratio of each node's live entry, and nodes whose live entry a
+        #: pick popped as its winner (so the next update re-pushes it)
+        self._node_ratio: dict[str, float] = {}
+        self._popped: set[str] = set()
+        #: the reserved slot of a held empty pass (``Environment.reserve``)
+        #: and the queued call that wakes the loop after it
+        self._held = None
+        self._wake = None
         # Index maintenance rides its own watcher so replaying the
         # existing nodes does not ring the bell (an extra empty pass
         # would shift every trace).
         apiserver.watch("Node", self._on_node_index_event, replay_existing=True)
         apiserver.watch("Pod", self._on_pod_event, replay_existing=True)
         apiserver.watch("Node", self._on_node_event, replay_existing=False)
-        env.process(self._loop(), name="kube-scheduler")
+        self._proc = env.process(self._loop(), name="kube-scheduler")
 
     def _on_pod_event(self, event: WatchEvent) -> None:
         if event.type in (WatchEventType.ADDED, WatchEventType.MODIFIED):
@@ -90,11 +112,18 @@ class K8sScheduler:
         if event.type is WatchEventType.DELETED:
             self._node_seq.pop(name, None)
             self._nodes.pop(name, None)
+            self._node_ratio.pop(name, None)
+            self._popped.discard(name)
             return
-        seq = self._node_seq.get(name, 0) + 1
-        self._node_seq[name] = seq
         self._nodes[name] = node
         ratio = node.allocated.cpu / max(node.capacity.cpu, 1e-9)
+        if self._node_ratio.get(name) == ratio and name in self._node_seq:
+            if name not in self._popped:
+                return  # the live entry already says this
+            self._popped.discard(name)
+        seq = self._node_seq.get(name, 0) + 1
+        self._node_seq[name] = seq
+        self._node_ratio[name] = ratio
         heapq.heappush(self._heap, (ratio, name, seq))
         # Stale entries accumulate one per node update; compact before
         # the heap outgrows the live node set by a wide margin.
@@ -107,12 +136,50 @@ class K8sScheduler:
         heapq.heapify(self._heap)
 
     def _ring(self) -> None:
+        held = self._held
+        if held is not None:
+            self._held = None
+            if self.env.passed(held):
+                # The held pass ran empty, so the loop waits on the bell:
+                # decide in the slot the bell's wake would take.
+                self._wake = self.env.call_at(self.env.now, self._woken)
+                return
+            # The held pass is still ahead and now has work: queue it in
+            # its own slot (the bell below latches, as a ring during a
+            # queued pass does).
+            self.env.fill(held, self._held_pass_due)
+        elif self._wake is not None:
+            return  # coalesces with the queued wake, as with the bell's
         self._bell.fire()
 
+    def _idle(self) -> bool:
+        """Whether a pass now would bind and emit nothing."""
+        return not (self._pending or self._bell.latched or _trace.tracer.enabled)
+
+    def _woken(self) -> None:
+        """The bell's wake after a held pass: hold the next pass too, or
+        resume the loop to queue it."""
+        self._wake = None
+        if self._idle():
+            self._held = self.env.reserve(self.pass_latency)
+        else:
+            self._proc.resume_now(None)
+
+    def _held_pass_due(self) -> None:
+        """A ring queued the held pass: run it in its slot."""
+        self._proc.resume_now(True)
+
     def _loop(self):
+        env = self.env
         while True:
             yield self._bell.wait()
-            yield self.env.timeout(self.pass_latency)
+            if self._idle():
+                # Hold the pass's slot; parked until a ring needs it.
+                self._held = env.reserve(self.pass_latency)
+                if (yield env.event()) is None:
+                    yield env.timeout(self.pass_latency)  # woken after the slot
+            else:
+                yield env.timeout(self.pass_latency)
             self._schedule_pass()
 
     # -- one pass ------------------------------------------------------------------
@@ -212,6 +279,7 @@ class K8sScheduler:
                 # `allocated` directly): re-key under a fresh seq so the
                 # heap order stays the true (ratio, name) order.
                 seq = seqs[name] = seq + 1
+                self._node_ratio[name] = live
                 heapq.heappush(heap, (live, name, seq))
                 continue
             if (
@@ -230,6 +298,8 @@ class K8sScheduler:
         # The winner's entry is not pushed back: the caller's claim +
         # Node update re-enters _on_node_index_event, which pushes the
         # fresh (ratio, name, seq+1) entry.
+        if target is not None:
+            self._popped.add(target.metadata.name)
         counters = _profile.counters
         if counters.enabled:
             if len(rejected) > _FALLBACK_POPS:

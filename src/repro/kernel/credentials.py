@@ -70,7 +70,8 @@ class Credentials:
         return self.euid == 0
 
     def has(self, cap: Capability) -> bool:
-        return bool(self.capabilities & cap)
+        # integer test: ``Flag.__and__`` builds a pseudo-member per call
+        return self.capabilities._value_ & cap._value_ != 0
 
     def drop(self, cap: Capability) -> None:
         self.capabilities &= ~cap

@@ -42,6 +42,9 @@ from repro.kernel.namespaces import (
 )
 from repro.kernel.process import ProcessState, SimProcess
 
+#: the namespaces ``unshare`` creates after USER, in declaration order
+_NON_USER_KINDS = tuple(kind for kind in NamespaceKind if kind is not NamespaceKind.USER)
+
 
 class Kernel:
     """One node's kernel: processes, namespaces, mounts, cgroups."""
@@ -153,21 +156,21 @@ class Kernel:
         unprivileged ``unshare(USER|MNT)`` works: the new userns supplies
         the CAP_SYS_ADMIN needed for the mount namespace.
         """
-        kinds = set(kinds)
-        if NamespaceKind.USER in kinds:
+        requested = set(kinds)
+        if NamespaceKind.USER in requested:
             self._unshare_user(proc)
-            kinds.discard(NamespaceKind.USER)
-        for kind in kinds:
-            if not self.has_capability(proc, Capability.SYS_ADMIN):
-                raise EPERM(
-                    f"unshare({kind.value}) requires CAP_SYS_ADMIN in the current userns"
-                )
+        # The other kinds in declaration order (a set's order would
+        # follow the string hash seed), after one capability check:
+        # creating them does not change the caller's capabilities.
+        others = [kind for kind in _NON_USER_KINDS if kind in requested]
+        if others and not self.has_capability(proc, Capability.SYS_ADMIN):
+            raise EPERM(
+                f"unshare({others[0].value}) requires CAP_SYS_ADMIN in the current userns"
+            )
+        for kind in others:
             if kind is NamespaceKind.MNT:
-                new_table = proc.mount_table.clone(next(self._mount_ns_counter))
-                proc.mount_table = new_table
-                proc.namespaces[kind] = Namespace(kind, owner=proc.userns)
-            else:
-                proc.namespaces[kind] = Namespace(kind, owner=proc.userns)
+                proc.mount_table = proc.mount_table.clone(next(self._mount_ns_counter))
+            proc.namespaces[kind] = Namespace(kind, owner=proc.userns)
 
     def _unshare_user(self, proc: SimProcess) -> None:
         if not self.config.unprivileged_userns and not self.has_capability(

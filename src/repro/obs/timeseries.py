@@ -333,7 +333,7 @@ def install_sampler(
                 boundary = rec._next_due
             yield env.timeout_until(boundary)
             rec.sample_due(env.now, registry)
-            if not env._queue and not env._immediate:
+            if not env.has_pending():
                 return
 
     return env.process(_tick(), name="obs.sampler")

@@ -26,6 +26,11 @@ class HookPoint(enum.Enum):
     POSTSTOP = "poststop"
 
 
+#: every lifecycle point in spec order (iterating the enum class itself
+#: is several times slower, and registries are built per container)
+HOOK_POINTS = tuple(HookPoint)
+
+
 class HookError(RuntimeError):
     """A hook failed; per spec this aborts the container lifecycle."""
 
@@ -58,7 +63,7 @@ class HookRegistry:
     """Ordered hooks per lifecycle point."""
 
     def __init__(self) -> None:
-        self._hooks: dict[HookPoint, list[Hook]] = {p: [] for p in HookPoint}
+        self._hooks: dict[HookPoint, list[Hook]] = {p: [] for p in HOOK_POINTS}
         self.executed: list[tuple[HookPoint, str]] = []
 
     def register(self, hook: Hook) -> None:
@@ -102,7 +107,7 @@ class HookRegistry:
 
     def merged_with(self, other: "HookRegistry") -> "HookRegistry":
         combined = HookRegistry()
-        for point in HookPoint:
+        for point in HOOK_POINTS:
             for hook in (*self._hooks[point], *other._hooks[point]):
                 combined.register(hook)
         return combined

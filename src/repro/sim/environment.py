@@ -18,7 +18,23 @@ bit-identical to a single-heap implementation.
 
 Process resumes additionally bypass event allocation: instead of a
 throwaway carrier :class:`Event` per resume, the queue carries a slotted
-:class:`_Resume` record that invokes the generator directly.
+:class:`_Resume` record that invokes the generator directly.  Control
+loops that only need a function run at a virtual time queue a
+:class:`_Call` record the same way (:meth:`Environment.call_at`).
+
+A loop whose next event would observably do nothing may instead
+:meth:`~Environment.reserve` that event's sequence number without
+queueing it: the total order of every other event is unchanged, and
+:meth:`~Environment.passed` tells the holder whether the reserved slot
+already lies behind the event being processed (compared against the
+``(time, sequence)`` cursor ``step()`` records).  If something happens
+before the slot that would make the event matter, the holder queues it
+in its own slot with :meth:`~Environment.fill`.  A drain in ``run()``
+and :meth:`~Environment.has_pending` count the furthest reservation as
+the pending event it stands for, so the clock after a drain and idle
+checks match the event queued (exactly so while slots are held one at
+a time, as the k8s scheduler holds them); ``peek()`` and ``step()`` see
+queued events only.
 """
 
 from __future__ import annotations
@@ -51,6 +67,27 @@ class _Resume:
         self.exception = exception
 
 
+class _Call:
+    """A queued callback: ``step()`` runs ``fn()`` in the call's slot.
+
+    ``process`` is made the active process while ``fn`` runs, for
+    callbacks that stand in for a parked process's own code (trace rows
+    and :meth:`Signal.park <repro.sim.signal.Signal.park>` see that
+    process).  ``fn`` is set to ``None`` to cancel the call in place; a
+    cancelled call still pops in its slot, as an event nobody waits on
+    would.  ``when``/``seq`` are the slot's queue key.
+    """
+
+    __slots__ = ("fn", "process", "when", "seq")
+
+    def __init__(self, fn: _t.Callable[[], object] | None, process: "Process | None",
+                 when: float, seq: int):
+        self.fn = fn
+        self.process = process
+        self.when = when
+        self.seq = seq
+
+
 class Environment:
     """Owns the virtual clock and the pending-event queue.
 
@@ -67,10 +104,16 @@ class Environment:
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         #: delayed / urgent events: heap of (time, priority, seq, item)
-        self._queue: list[tuple[float, int, int, Event | _Resume]] = []
+        self._queue: list[tuple[float, int, int, Event | _Resume | _Call]] = []
         #: zero-delay normal events at the current time: FIFO of (seq, item)
-        self._immediate: deque[tuple[int, Event | _Resume]] = deque()
+        self._immediate: deque[tuple[int, Event | _Resume | _Call]] = deque()
         self._counter = itertools.count()
+        #: sequence number of the event being processed at ``now``: -1
+        #: for URGENT events (they sort before every NORMAL one), +inf
+        #: once ``run(until=t)`` has processed everything at ``t``
+        self._cursor: float = -1
+        #: the furthest :meth:`reserve` slot (counted as pending work)
+        self._reserved: _Call | None = None
         self._active_process: Process | None = None
         self._profile = _counters
         if _tracer.enabled:
@@ -113,6 +156,65 @@ class Environment:
     def process(self, generator: ProcessGenerator, name: str | None = None) -> "Process":
         return Process(self, generator, name=name)
 
+    def call_at(
+        self, when: float, fn: _t.Callable[[], object], process: "Process | None" = None
+    ) -> _Call:
+        """Run ``fn()`` at the absolute virtual time ``when``.
+
+        Takes the queue slot an event scheduled here would take, without
+        allocating one.  Returns the :class:`_Call`; set its ``fn`` to
+        ``None`` to cancel it.  With ``process`` set, ``fn`` runs with
+        that process active.
+        """
+        if when < self._now:
+            raise ValueError(f"when={when} is in the past (now={self._now})")
+        call = _Call(fn, process, when, next(self._counter))
+        if when == self._now:
+            self._immediate.append((call.seq, call))
+            immediate = True
+        else:
+            heappush(self._queue, (when, 1, call.seq, call))
+            immediate = False
+        prof = self._profile
+        if prof.enabled:
+            self._count_push(prof, immediate)
+        return call
+
+    def reserve(self, delay: float) -> _Call:
+        """Draw the queue slot ``timeout(delay)`` would take, unqueued.
+
+        The returned call holds the slot's ``(when, seq)`` key and no
+        function; :meth:`fill` queues it there later.  Until then
+        nothing runs in the slot, so a holder must only reserve an event
+        whose processing would change nothing observable.
+        """
+        call = _Call(None, None, self._now + delay, next(self._counter))
+        held = self._reserved
+        if held is None or call.when >= held.when:
+            self._reserved = call
+        return call
+
+    def fill(self, call: _Call, fn: _t.Callable[[], object]) -> None:
+        """Queue a reserved ``call`` in its own slot, running ``fn``."""
+        call.fn = fn
+        heappush(self._queue, (call.when, 1, call.seq, call))
+        prof = self._profile
+        if prof.enabled:
+            self._count_push(prof, False)
+
+    def passed(self, call: _Call) -> bool:
+        """Whether ``call``'s slot sorts at or before the event being
+        processed (or, between ``run()`` calls, the last one processed)."""
+        when = call.when
+        return when < self._now or (when == self._now and call.seq <= self._cursor)
+
+    def has_pending(self) -> bool:
+        """Whether any event is queued or a reserved slot lies ahead."""
+        if self._immediate or self._queue:
+            return True
+        held = self._reserved
+        return held is not None and not self.passed(held)
+
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         if delay == 0.0 and priority == 1:
@@ -122,8 +224,15 @@ class Environment:
             immediate = False
             heappush(self._queue, (self._now + delay, priority, next(self._counter), event))
         prof = self._profile
-        if prof.enabled:
-            self._count_push(prof, immediate)
+        if prof.enabled:  # _count_push, inlined on the hottest path
+            prof.events_scheduled += 1
+            if immediate:
+                prof.immediate_pushes += 1
+            else:
+                prof.heap_pushes += 1
+            depth = len(self._queue) + len(self._immediate)
+            if depth > prof.peak_queue_depth:
+                prof.peak_queue_depth = depth
 
     def _schedule_at(self, event: Event, when: float, priority: int = NORMAL) -> None:
         """Schedule ``event`` at the absolute virtual time ``when``."""
@@ -190,14 +299,16 @@ class Environment:
                     prio = head[1]
                     use_heap = prio < 1 or (prio == 1 and head[2] < immediate[0][0])
             if use_heap:
-                when, _prio, _seq, item = heappop(queue)
+                when, prio, seq, item = heappop(queue)
                 self._now = when
+                self._cursor = seq if prio == 1 else -1
             else:
                 from_heap = False
-                item = immediate.popleft()[1]
+                self._cursor, item = immediate.popleft()
         elif queue:
-            when, _prio, _seq, item = heappop(queue)
+            when, prio, seq, item = heappop(queue)
             self._now = when
+            self._cursor = seq if prio == 1 else -1
         else:
             raise SimulationError("step() on empty event queue")
         prof = self._profile
@@ -208,10 +319,18 @@ class Environment:
             else:
                 prof.immediate_pops += 1
 
-        if item.__class__ is _Resume:
+        cls = item.__class__
+        if cls is _Resume:
             process = item.process
             if process is not None:  # None == cancelled by interrupt()
                 process._do_resume(item.value, item.exception)
+            return
+        if cls is _Call:
+            fn = item.fn
+            if fn is not None:  # None == cancelled
+                self._active_process = item.process
+                fn()
+                self._active_process = None
             return
         event = _t.cast(Event, item)
         callbacks, event.callbacks = event.callbacks, None
@@ -243,6 +362,7 @@ class Environment:
             while (immediate or queue) and not sentinel:
                 self.step()
             if not sentinel:
+                self._drain_reserved()
                 raise SimulationError("event queue drained before `until` event fired")
             return stop.value
         deadline = float("inf") if until is None else float(until)
@@ -253,8 +373,20 @@ class Environment:
                 break
             self.step()
         if deadline != float("inf"):
+            # Everything at or before the deadline has been processed.
             self._now = deadline
+            self._cursor = float("inf")
+        else:
+            self._drain_reserved()
         return None
+
+    def _drain_reserved(self) -> None:
+        """The queue drained: the clock stands where the furthest reserved
+        slot's event would have left it."""
+        held = self._reserved
+        if held is not None and held.when > self._now:
+            self._now = held.when
+            self._cursor = float("inf")
 
 
 class Process(Event):
@@ -308,6 +440,16 @@ class Process(Event):
         if trigger._exception is not None:
             trigger.defused = True
         self._do_resume(trigger._value, trigger._exception)
+
+    def resume_now(self, value: object = None) -> None:
+        """Resume the generator with ``value`` inside the event being
+        processed, detaching it from whatever event it waits on.
+
+        For a queued callback that stands in for the event the process
+        is parked on: the generator continues in the callback's own
+        queue slot, exactly where resuming from that event would have.
+        """
+        self._do_resume(value, None)
 
     def _do_resume(self, value: object, exception: BaseException | None) -> None:
         self._pending_resume = None

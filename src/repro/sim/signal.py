@@ -118,6 +118,11 @@ class Signal:
         self._last_fired: list[Event] = []
 
     @property
+    def latched(self) -> bool:
+        """Whether an unheard fire is waiting for the next :meth:`wait`."""
+        return self._pending
+
+    @property
     def waiting(self) -> int:
         """Number of registered waiters (events and parked processes)."""
         return len(self._waiters) + len(self._parked)
@@ -145,21 +150,27 @@ class Signal:
             return False
 
     # -- direct-resume parking ----------------------------------------------
-    def park(self, deadline: float | None = None) -> Event:
+    def park(self, deadline: float | None = None, token: Event | None = None) -> Event:
         """Park the active process until :meth:`fire` or ``deadline``.
 
         The caller **must immediately yield the returned token**.  The
         yield delivers :data:`Signal.FIRED` if the signal woke the
         process and ``None`` if the (absolute virtual time) deadline
         passed.  Call :meth:`unpark` with the token after waking.
+
+        Passing ``token`` re-registers a token the active process is
+        still yielded on (after an :meth:`unpark` that did not resume
+        it, e.g. from a queued callback running with that process
+        active); ``deadline`` is then ignored.
         """
         process = self.env.active_process
         if process is None:
             raise SimulationError("park() must be called from a running process")
-        if deadline is None:
-            token = Event(self.env)
-        else:
-            token = self.env.timeout_until(deadline)
+        if token is None:
+            if deadline is None:
+                token = Event(self.env)
+            else:
+                token = self.env.timeout_until(deadline)
         self._parked[token] = process
         if _counters.enabled:
             _counters.parked_processes += 1
@@ -204,9 +215,13 @@ class Signal:
         if woken:
             if _counters.enabled:
                 _counters.wakeups_fired += woken
-        elif self.latch and not any(not ev.processed for ev in self._last_fired):
-            self._pending = True
-            self._pending_value = value
+        elif self.latch:
+            for event in self._last_fired:
+                if event.callbacks is not None:
+                    break  # coalesces with a woken waiter yet to resume
+            else:
+                self._pending = True
+                self._pending_value = value
         return woken
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,11 +1,16 @@
 """Control-plane oracles: linear k8s scheduling, store-scan kubelet sync
-and linear backfill — the §6.5 stack before its indexes."""
+and linear backfill — the §6.5 stack before its indexes — and the idle
+loops before queued heartbeats and held scheduler passes."""
 
 from repro.k8s import k3s
 from repro.k8s.kubelet import Kubelet
 from repro.k8s.objects import PodPhase
 from repro.k8s.scheduler import K8sScheduler
-from repro.scenarios import kubelet_in_allocation
+from repro.obs import metrics as _metrics
+from repro.obs import trace as _trace
+from repro.scenarios import k8s_in_wlm, kubelet_in_allocation, reallocation, wlm_in_k8s
+from repro.sim import Signal
+from repro.sim.signal import count_skipped_ticks, next_tick
 from repro.wlm import slurm
 from repro.wlm.nodes import NodeState
 from repro.wlm.scheduler import BackfillScheduler
@@ -56,6 +61,59 @@ class StoreScanKubelet(Kubelet):
             yield from self._start_pod(pod)
 
 
+class PollingKubelet(Kubelet):
+    """The idle loop before queued heartbeats: the parked generator
+    wakes itself at each due heartbeat tick (a deadline on its park),
+    syncs, and waits out the heartbeat RPC."""
+
+    def _sync_loop(self, node):
+        wakeup = self._wakeup
+        last_heartbeat = self._last_heartbeat
+        while self._running:
+            epoch = self.env.now
+            if self._pending_pods():
+                yield self.env.timeout(self.sync_interval)
+            else:
+                tick = epoch + self.sync_interval
+                skipped = 0
+                while tick - last_heartbeat < self.heartbeat_interval:
+                    tick += self.sync_interval
+                    skipped += 1
+                token = wakeup.park(tick)
+                cause = yield token
+                wakeup.unpark(token)
+                if cause is Signal.FIRED:
+                    tick, skipped = next_tick(epoch, self.sync_interval, self.env.now)
+                    count_skipped_ticks(skipped)
+                    yield self.env.timeout_until(tick)
+                else:
+                    count_skipped_ticks(skipped)
+            self.stats["sync_loops"] += 1
+            if _metrics.registry.enabled:
+                _metrics.registry.inc_series(self._series_keys()[0])
+            yield from self._sync()
+            if self.env.now - last_heartbeat >= self.heartbeat_interval:
+                node.condition.last_heartbeat = self.env.now
+                yield self._rpc()
+                self.api.update("Node", node)
+                last_heartbeat = self.env.now
+                _trace.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
+
+
+class BellK8sScheduler(K8sScheduler):
+    """Queues every pass, empty or not: wait for the bell, sleep
+    ``pass_latency``, pass."""
+
+    def _ring(self) -> None:
+        self._bell.fire()
+
+    def _loop(self):
+        while True:
+            yield self._bell.wait()
+            yield self.env.timeout(self.pass_latency)
+            self._schedule_pass()
+
+
 class LinearBackfillScheduler(BackfillScheduler):
     """Re-scans the node list per job and sorts the running jobs'
     projected ends per blocked head (placements only, no metrics)."""
@@ -96,4 +154,14 @@ def control_plane_oracle():
         (k3s, "K8sScheduler", LinearK8sScheduler),
         (kubelet_in_allocation, "Kubelet", StoreScanKubelet),
         (slurm, "BackfillScheduler", LinearBackfillScheduler),
+    )
+
+
+def idle_loop_oracle():
+    """Run every scenario's kubelets on the polling idle loop and the
+    k8s control plane on the bell-driven scheduler."""
+    return rebound(
+        (k3s, "K8sScheduler", BellK8sScheduler),
+        *((module, "Kubelet", PollingKubelet)
+          for module in (kubelet_in_allocation, reallocation, wlm_in_k8s, k8s_in_wlm)),
     )

@@ -251,3 +251,80 @@ def test_nested_processes_compose():
     p = env.process(level0(env))
     assert env.run(until=p) == 4
     assert env.now == 2.0
+
+
+# -- queued callbacks and reserved slots ---------------------------------------
+
+def test_call_at_runs_in_its_slot_and_cancels_in_place():
+    env = Environment()
+    log = []
+    env.timeout(2).callbacks.append(lambda _ev: log.append("timeout-before"))
+    call = env.call_at(2.0, lambda: log.append(("call", env.now)))
+    env.timeout(2).callbacks.append(lambda _ev: log.append("timeout-after"))
+    cancelled = env.call_at(3.0, lambda: log.append("cancelled"))
+    cancelled.fn = None
+    env.call_at(0.0, lambda: log.append(("now", env.now)))
+    env.run()
+    assert log == [("now", 0.0), "timeout-before", ("call", 2.0), "timeout-after"]
+    assert call.when == 2.0
+    # the cancelled call still popped in its slot
+    assert env.now == 3.0
+    with pytest.raises(ValueError):
+        env.call_at(1.0, lambda: None)
+
+
+def test_call_at_runs_with_its_process_active():
+    env = Environment()
+    seen = []
+
+    def parked(env):
+        yield env.event()
+
+    proc = env.process(parked(env))
+    env.call_at(1.0, lambda: seen.append(env.active_process), process=proc)
+    env.run()
+    assert seen == [proc] and env.active_process is None
+
+
+def test_reserved_slot_orders_like_the_timeout_it_stands_for():
+    env = Environment()
+    log = []
+    env.timeout(1).callbacks.append(lambda _ev: log.append("before"))
+    slot = env.reserve(1.0)
+    env.timeout(1).callbacks.append(lambda _ev: log.append("after"))
+    assert not env.passed(slot)
+    env.fill(slot, lambda: log.append("slot"))
+    env.run()
+    assert log == ["before", "slot", "after"]
+    assert env.passed(slot)
+
+
+def test_passed_compares_with_the_event_being_processed():
+    env = Environment()
+    seen = []
+    env.timeout(1).callbacks.append(lambda _ev: seen.append(env.passed(slot)))
+    slot = env.reserve(1.0)
+    env.timeout(1).callbacks.append(lambda _ev: seen.append(env.passed(slot)))
+    env.run()
+    assert seen == [False, True]
+
+
+def test_unfilled_reservation_counts_as_pending_work():
+    env = Environment()
+    env.timeout(1)
+    slot = env.reserve(5.0)
+    env.step()
+    assert env.has_pending() and not env.passed(slot)
+    # a drain leaves the clock where the reserved event would have
+    env.run()
+    assert env.now == 5.0 and env.passed(slot) and not env.has_pending()
+
+
+def test_run_until_passes_reservations_at_the_deadline():
+    env = Environment()
+    slot = env.reserve(2.0)
+    env.run(until=2.0)
+    assert env.passed(slot)
+    late = env.reserve(1.0)
+    env.run(until=2.5)
+    assert not env.passed(late) and env.has_pending()

@@ -300,3 +300,36 @@ def test_next_tick_on_boundary_is_strictly_after():
 def test_next_tick_rejects_bad_interval():
     with pytest.raises(ValueError):
         next_tick(0.0, 0.0, 1.0)
+
+
+def test_latched_reports_an_unheard_fire():
+    env = Environment()
+    sig = Signal(env, latch=True)
+    assert not sig.latched
+    sig.fire()
+    assert sig.latched
+    sig.wait()
+    assert not sig.latched
+
+
+def test_park_reregisters_a_token_the_process_still_waits_on():
+    env = Environment()
+    sig = Signal(env)
+    log = []
+
+    def sleeper(env):
+        got = yield sig.park()
+        log.append((got, env.now))
+
+    proc = env.process(sleeper(env))
+    env.run()
+    token = proc._target
+    sig.unpark(token)
+    assert sig.fire() == 0  # unparked: the fire passes it by
+
+    # a queued callback standing in for the parked process hands it back
+    env.call_at(1.0, lambda: sig.park(token=token), process=proc)
+    env.run()
+    assert sig.fire() == 1
+    env.run()
+    assert log == [(Signal.FIRED, 1.0)]
