@@ -412,7 +412,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     exactly that.  ``--chaos`` / ``--faults`` deliver a fault plan into
     every shard; ``--slo`` scores the sampled ``fleet.*`` series.
     """
-    from repro.obs import timeseries as obs_timeseries
     from repro.obs.slo import SloRuleSet
     from repro.workload.fleet import (fleet_report_document, generate_fleet_plan,
                                       render_fleet_summary, run_fleet, score_fleet_slo)
@@ -432,11 +431,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     print(render_fleet_summary(result))
     if want_slo:
-        # the cell merge appends points but not the interval — pin it so
-        # the scorecard names the grid the cells actually sampled on
-        obs_timeseries.recorder.enable(interval=interval, reset=False)
         scorecard = score_fleet_slo(result, rules=rules)
-        obs_timeseries.disable()
         print()
         print(scorecard.render())
         if args.slo_out:

@@ -32,6 +32,7 @@ enabled), plus an always-on private count used by chaos reports.
 
 from __future__ import annotations
 
+import contextlib
 import typing as _t
 
 from repro.faults.plan import PUSH_KINDS as _PUSH_KINDS
@@ -92,6 +93,28 @@ class FaultInjector:
         self.injected_counts = {}
         self.injected_at = {}
         self.retry_counts = {}
+
+    @contextlib.contextmanager
+    def arm_pulls(
+        self, plan_json: str | None, env: "Environment"
+    ) -> _t.Iterator[FaultPlan | None]:
+        """Arm a shard's plan (compact JSON, or None) for the ``with``
+        block with its pull-style window events only, and disarm after.
+
+        Yields the whole plan (``None`` without one).  Push-style events
+        are the caller's to deliver or drop, so no driver process joins
+        ``env``'s event schedule.
+        """
+        plan = FaultPlan.from_json(plan_json) if plan_json else None
+        if plan is None:
+            yield None
+            return
+        self.arm(FaultPlan([e for e in plan if e.kind not in _PUSH_KINDS],
+                           seed=plan.seed), env)
+        try:
+            yield plan
+        finally:
+            self.disarm()
 
     # -- pull side ---------------------------------------------------------
     def active(

@@ -12,12 +12,11 @@ the in-kernel driver).
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 from repro.fs.tree import FileTree
+from repro.ids import ids
 from repro.sim import profile as _profile
 
-_image_counter = itertools.count(1)
 
 #: default compression ratio for typical container content (mixed
 #: binaries/text); mksquashfs with zstd commonly lands around here.
@@ -39,7 +38,7 @@ class SquashImage:
     ):
         if not 0 < compression_ratio <= 1:
             raise ValueError("compression_ratio must be in (0, 1]")
-        self.image_id = next(_image_counter)
+        self.image_id = next(ids.image)
         self.tree = tree
         self.uncompressed_size = tree.total_size()
         self.compressed_size = int(self.uncompressed_size * compression_ratio)

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro.obs.sink import Sink
+
 #: default latency buckets (seconds) — spans sub-100µs metadata ops to
 #: multi-minute transfers; +inf is implicit
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
@@ -114,8 +116,10 @@ class Histogram:
         }
 
 
-class MetricsRegistry:
+class MetricsRegistry(Sink):
     """The process-wide labeled metrics store."""
+
+    __slots__ = ("enabled", "_counters", "_gauges", "_histograms", "_hist_buckets")
 
     def __init__(self) -> None:
         self.enabled = False

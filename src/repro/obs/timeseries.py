@@ -25,14 +25,14 @@ boundary and **self-terminates when it is the only pending work**, so
 ``env.run()`` drains and ``env.run(until=...)`` deadlines behave exactly
 as they would without it.
 
-Sample timestamps are snapped to the grid (``floor(now/interval) *
-interval``), so a cell sampled inline at irregular epoch times and a
-cell sampled by the process land points on the same time axis.  Like the
-registry, the recorder is **global, off by default, and shard-mergeable**:
-:meth:`capture_state` / :meth:`install_state` mirror the registry's
-contract, and ``merge=True`` concatenates per-series points in the order
-cells are merged (deterministic cell-index order), keeping ``--jobs N``
-byte-identical to serial.
+Sample timestamps are snapped to the grid (``k * interval``, the grid
+point at or below ``now``), so a cell sampled inline at irregular epoch
+times and a cell sampled by the process land points on the same time
+axis.  Like the registry, the recorder is **global, off by default,
+and shard-mergeable**: :meth:`capture_state` / :meth:`install_state`
+mirror the registry's contract, and ``merge=True`` concatenates
+per-series points in the order cells are merged (deterministic
+cell-index order), keeping ``--jobs N`` byte-identical to serial.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from repro.obs.metrics import (
     _SeriesKey,
     format_series,
 )
+from repro.obs.sink import Sink
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -69,7 +70,7 @@ TIMESERIES_SCHEMA = "repro-timeseries/1"
 _QUANTILES: tuple[tuple[str, float], ...] = ((".p50", 0.5), (".p99", 0.99))
 
 
-class TimeSeriesRecorder:
+class TimeSeriesRecorder(Sink):
     """Ring-buffered ``(t, value)`` points per labeled series."""
 
     __slots__ = (
@@ -165,15 +166,24 @@ class TimeSeriesRecorder:
         return self.sample(now, registry)
 
     def sample(self, now: float, registry: MetricsRegistry | None = None) -> float:
-        """Take one sample tick, stamped at the grid point below ``now``."""
+        """Take one sample tick, stamped at the grid point at or below
+        ``now``; the next one is due at the grid point above it."""
         interval = self.interval
-        t = math.floor(now / interval) * interval
+        # floor(now / interval) can land one step off once the quotient
+        # rounds (43 * 0.1 == 4.3 but 4.3 / 0.1 < 43); correct it by one
+        # step so that k * interval <= now < (k + 1) * interval in floats
+        k = math.floor(now / interval)
+        if k * interval > now:
+            k -= 1
+        elif (k + 1) * interval <= now:
+            k += 1
+        t = k * interval
         for probe in self._probes:
             probe(t)
         if registry is not None:
             self._sample_registry(t, registry)
         self._last_t = t
-        self._next_due = t + interval
+        self._next_due = (k + 1) * interval
         self.samples += 1
         return t
 
@@ -264,17 +274,18 @@ class TimeSeriesRecorder:
     def install_state(self, state: dict[str, object], merge: bool = False) -> None:
         """Load a :meth:`capture_state` blob back into the recorder.
 
-        With ``merge=False`` the recorder is replaced wholesale (interval
-        and capacity restored from the blob).  With ``merge=True`` each
-        series' points are *appended* in blob order — callers merge cells
-        in deterministic cell-index order, so the combined rings (and any
+        With ``merge=False`` the recorder is replaced wholesale (capacity
+        restored from the blob).  With ``merge=True`` each series' points
+        are *appended* in blob order — callers merge cells in
+        deterministic cell-index order, so the combined rings (and any
         export of them) are identical whether cells ran serially or
-        across N workers.
+        across N workers.  Either way the recorder takes the blob's
+        interval: the points it now holds sit on that grid.
         """
         if not merge:
             self.reset()
-            self.interval = _t.cast(float, state["interval"])
             self.capacity = _t.cast(int, state["capacity"])
+        self.interval = _t.cast(float, state["interval"])
         self.samples += _t.cast(int, state["samples"])
         for key, pts in _t.cast(dict, state["points"]).items():
             ring = self._points.get(key)

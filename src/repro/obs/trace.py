@@ -50,6 +50,8 @@ from __future__ import annotations
 import time
 import typing as _t
 
+from repro.obs.sink import Sink
+
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim imports us)
     from repro.sim.environment import Environment
 
@@ -102,7 +104,7 @@ class _Span:
         return False
 
 
-class Tracer:
+class Tracer(Sink):
     """Collects trace events against the attached environment's clock."""
 
     __slots__ = (

@@ -10,13 +10,13 @@ exactly once, here.
 from __future__ import annotations
 
 import enum
-import itertools
 import typing as _t
 
 from repro.fs.drivers import MountedView, mount_bind
 from repro.fs.inode import DirNode, FileNode
 from repro.fs.perf import PROFILES
 from repro.fs.tree import FileTree
+from repro.ids import ids
 from repro.kernel.credentials import Capability
 from repro.kernel.errors import EINVAL, EPERM
 from repro.kernel.namespaces import IdMapping, NamespaceKind
@@ -24,8 +24,6 @@ from repro.kernel.process import SimProcess
 from repro.kernel.syscalls import Kernel
 from repro.oci.bundle import Bundle
 from repro.oci.hooks import HookPoint, HookRegistry
-
-_container_counter = itertools.count(1)
 
 
 class ContainerState(enum.Enum):
@@ -108,7 +106,7 @@ class OCIRuntime:
         problems = bundle.validate()
         if problems:
             raise EINVAL(f"invalid bundle: {problems}")
-        cid = container_id or f"ctr-{next(_container_counter)}"
+        cid = container_id or f"ctr-{next(ids.container)}"
         if cid in self.containers:
             raise EINVAL(f"container id {cid} already in use")
         container = Container(cid, bundle, self)

@@ -267,20 +267,10 @@ def run_replay_shard(
     would be a silent no-op pretending to be coverage.
     """
     from repro.faults.injector import injector as _faults
-    from repro.faults.plan import PUSH_KINDS, FaultPlan
 
     env = Environment()
-    plan = FaultPlan.from_json(plan_json) if plan_json else None
-    if plan is not None:
-        pull_plan = FaultPlan(
-            [e for e in plan if e.kind not in PUSH_KINDS], seed=plan.seed
-        )
-        _faults.arm(pull_plan, env)
-    try:
+    with _faults.arm_pulls(plan_json, env):
         return FleetReplayScenario(env, config, shard).run()
-    finally:
-        if plan is not None:
-            _faults.disarm()
 
 
 # -- fleet-level orchestration ------------------------------------------------

@@ -26,14 +26,14 @@ from repro.shard.runner import (
     merge_profiles,
     run_cells,
 )
-from repro.shard.state import COUNTER_SITES, WarmSnapshot, WorldState, warm_scenario_prefix
+from repro.shard.state import RunState, WarmSnapshot, WorldState, warm_scenario_prefix
 
 __all__ = [
-    "COUNTER_SITES",
     "CellResult",
     "ChaosCell",
     "FleetCell",
     "ObsConfig",
+    "RunState",
     "ScenarioCell",
     "ShardResult",
     "WarmSnapshot",

@@ -7,11 +7,10 @@ snapshots, trace exports and profile counters are **byte-identical to a
 serial run**.  Three invariants make that hold:
 
 1. *Every* cell — in-process or in a pool worker, fork or spawn start
-   method — begins by installing a known :class:`WorldState` (a
-   :class:`WarmSnapshot` fork, or pristine) and resetting the profile
-   counters, metrics registry and tracer.  Whatever a previous cell (or
-   a forked parent image) left behind is overwritten, so a cell's
-   result depends only on the cell value itself.
+   method — begins by blanking every obs sink and installing a known
+   :class:`WorldState` (a :class:`WarmSnapshot` fork, or pristine).
+   Whatever a previous cell (or a forked parent image) left behind is
+   overwritten, so a cell's result depends only on the cell value itself.
 2. Results are collected with order-preserving ``Pool.map`` and merged
    strictly in cell-index order — never completion order — so gauge
    last-writer-wins, trace row numbering and report concatenation are
@@ -20,9 +19,10 @@ serial run**.  Three invariants make that hold:
    counters and histogram buckets add, ``peak_queue_depth`` maxes,
    trace rows are re-keyed onto fresh tids per cell.
 
-The parent's own world state and observability state are saved before
-the first cell and restored before merging, so calling the runner is
-invisible to surrounding code beyond the merged-in results.
+The parent's whole :class:`RunState` (world plus every sink's complete
+state) is taken out before the first cell and put back before merging,
+so calling the runner is invisible to surrounding code beyond the
+merged-in results.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import multiprocessing as _mp
 import typing as _t
 
 from repro.shard.cells import Cell
-from repro.shard.state import WarmSnapshot, WorldState
+from repro.shard.state import RunState, WarmSnapshot, WorldState, obs_sinks
 from repro.sim import profile as _profile
 
 
@@ -43,7 +43,6 @@ class ObsConfig:
 
     metrics: bool = False
     trace: bool = False
-    trace_wall: bool = False
     #: time-series sampling interval (virtual seconds) or None = off;
     #: cells enable the recorder at this interval, and the parent merges
     #: the sampled rings in cell-index order
@@ -85,17 +84,10 @@ def default_start_method() -> str:
 
 def merge_profiles(snaps: _t.Iterable[dict[str, int]]) -> dict[str, int]:
     """Fold per-cell counter snapshots: sums, max for high-water marks."""
-    out = {field: 0 for field in _profile._FIELDS}
-    peaks = _profile.PEAK_FIELDS
+    block = _profile.SimCounters()
     for snap in snaps:
-        for field in _profile._FIELDS:
-            value = snap.get(field, 0)
-            if field in peaks:
-                if value > out[field]:
-                    out[field] = value
-            else:
-                out[field] += value
-    return out
+        block.merge(snap)
+    return block.snapshot()
 
 
 def _execute_cell(
@@ -105,49 +97,29 @@ def _execute_cell(
 
     This is the only place cells execute, so serial and pooled runs are
     the same code path; it deliberately clobbers the process-wide state
-    (the parent saves/restores around the whole batch)."""
-    from repro.obs.metrics import registry as _registry
-    from repro.obs.timeseries import recorder as _recorder
-    from repro.obs.trace import tracer as _tracer
-
-    counters = _profile.counters
-    prev_enabled = counters.enabled
-    counters.reset()
+    (the parent takes its own out around the whole batch)."""
+    counters, registry, tracer, recorder = sinks = obs_sinks()
+    for sink in sinks:
+        sink.swap()
     counters.enabled = True
+    registry.enabled = obs.metrics
+    tracer.enabled = obs.trace
+    if obs.timeseries is not None:
+        recorder.enable(interval=obs.timeseries)
     if snapshot is not None:
         snapshot.fork()
     else:
         WorldState.pristine().install()
     counters.shard_cells_run += 1
-    _registry.reset()
-    _registry.enabled = obs.metrics
-    _tracer.reset()
-    _tracer.enabled = obs.trace
-    _tracer.wall_clock = obs.trace_wall
-    _recorder.reset()
-    if obs.timeseries is not None:
-        _recorder.enable(interval=obs.timeseries, reset=False)
-    else:
-        _recorder.enabled = False
-    try:
-        value = cell.run()
-    finally:
-        profile_snap = counters.snapshot()
-        counters.enabled = prev_enabled
-        metrics_state = _registry.capture_state() if obs.metrics else None
-        _registry.enabled = False
-        trace_state = _tracer.capture_state() if obs.trace else None
-        _tracer.enabled = False
-        ts_state = _recorder.capture_state() if obs.timeseries is not None else None
-        _recorder.enabled = False
+    value = cell.run()
     return CellResult(
         index=index,
         label=cell.label,
         value=value,
-        profile=profile_snap,
-        metrics=metrics_state,
-        trace=trace_state,
-        timeseries=ts_state,
+        profile=counters.snapshot(),
+        metrics=registry.capture_state() if obs.metrics else None,
+        trace=tracer.capture_state() if obs.trace else None,
+        timeseries=recorder.capture_state() if obs.timeseries is not None else None,
     )
 
 
@@ -182,27 +154,12 @@ def run_cells(
     ``jobs <= 1`` runs in-process through the identical per-cell path.
     ``snapshot`` (a :class:`WarmSnapshot`) replays each cell from the
     warmed prefix; without one, cells start pristine.  After the call
-    the parent's profile counters, metrics registry and tracer hold the
-    merged results on top of whatever they held before.
+    the parent's profile counters, metrics registry, tracer and recorder
+    hold the merged results on top of whatever they held before.
     """
     cells = list(cells)
     obs = obs or ObsConfig()
-    counters = _profile.counters
-    from repro.obs.metrics import registry as _registry
-    from repro.obs.timeseries import recorder as _recorder
-    from repro.obs.trace import tracer as _tracer
-
-    saved_world = WorldState.capture()
-    saved_profile = counters.snapshot()
-    saved_profile_enabled = counters.enabled
-    saved_metrics = _registry.capture_state()
-    saved_metrics_enabled = _registry.enabled
-    saved_trace = _tracer.capture_state()
-    saved_trace_enabled = _tracer.enabled
-    saved_wall_clock = _tracer.wall_clock
-    saved_next_tid = _tracer._next_tid
-    saved_ts = _recorder.capture_state()
-    saved_ts_enabled = _recorder.enabled
+    parent = RunState.take()
     try:
         if jobs <= 1 or len(cells) <= 1:
             results = [
@@ -218,31 +175,16 @@ def run_cells(
             ) as pool:
                 results = pool.map(_worker_run, list(enumerate(cells)), chunksize=1)
     finally:
-        # Put the parent back exactly as it was before merging anything in.
-        saved_world.install()
-        for field, value in saved_profile.items():
-            setattr(counters, field, value)
-        counters.enabled = saved_profile_enabled
-        _registry.install_state(saved_metrics)
-        _registry.enabled = saved_metrics_enabled
-        _tracer.reset()
-        _tracer._events.extend(saved_trace["events"])
-        _tracer._thread_names.update(saved_trace["thread_names"])
-        _tracer._next_tid = saved_next_tid
-        _tracer.enabled = saved_trace_enabled
-        _tracer.wall_clock = saved_wall_clock
-        _recorder.install_state(saved_ts)
-        _recorder.enabled = saved_ts_enabled
+        parent.install()
 
+    counters, registry, tracer, recorder = obs_sinks()
     merged = merge_profiles(result.profile for result in results)
     counters.merge(merged)
-    if obs.metrics:
-        for result in results:
-            _registry.install_state(result.metrics, merge=True)
-    if obs.trace:
-        for result in results:
-            _tracer.absorb(result.trace, label=result.label)
-    if obs.timeseries is not None:
-        for result in results:
-            _recorder.install_state(result.timeseries, merge=True)
+    for result in results:
+        if obs.metrics:
+            registry.install_state(result.metrics, merge=True)
+        if obs.trace:
+            tracer.absorb(result.trace, label=result.label)
+        if obs.timeseries is not None:
+            recorder.install_state(result.timeseries, merge=True)
     return ShardResult(results=results, profile=merged, jobs=jobs)

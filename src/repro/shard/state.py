@@ -1,28 +1,32 @@
-"""Process-wide world state: capture, install, and warm snapshots.
+"""Process-wide run state: the world, the obs sinks, warm snapshots.
 
-Determinism in this repository is anchored on a small set of *global*
-id counters (inode numbers, image/container/mount/namespace ids, k8s
-uids, registry token serials, signing key serials) plus the
-content-addressed materialization caches in :mod:`repro.oci.squash` and
-:mod:`repro.fs.images`.  Every simulated artifact digest and entity
-name is a pure function of the draws it makes from these counters, so
-two runs that start from the *same counter positions* produce
-byte-identical results — and two runs that start from different
+Determinism in this repository is anchored on the process-wide id
+allocators in :mod:`repro.ids` (inode numbers, image/container/mount/
+namespace ids, k8s uids, registry token serials, signing key serials)
+plus the content-addressed materialization caches in
+:mod:`repro.oci.squash` and :mod:`repro.fs.images`.  Every simulated
+artifact digest and entity name is a pure function of the draws it makes
+from these allocators, so two runs that start from the *same positions*
+produce byte-identical results — and two runs that start from different
 positions produce different digests even for identical content (bulk
 file digests hash their inode number by design).
 
 :class:`WorldState` makes that state an explicit, picklable value:
 
-- :meth:`WorldState.capture` reads the counters non-destructively
-  (peek one value, rebind a fresh ``itertools.count`` at it) and
-  shallow-copies the caches;
-- :meth:`WorldState.install` rebinds every counter and replaces the
+- :meth:`WorldState.capture` reads the allocator positions without
+  consuming them and shallow-copies the caches;
+- :meth:`WorldState.install` restarts every allocator and replaces the
   cache contents, making the current process's world state equal to the
   captured one;
 - :meth:`WorldState.pristine` is the state of a freshly imported
-  process: every counter at 1, every cache empty.
+  process: every allocator at 1, every cache empty.
 
-The shard runner installs a known state before **every** cell — in the
+:class:`RunState` adds the four obs sinks (sim-core counters, metrics
+registry, tracer, time-series recorder) to the world: one value the
+shard runner takes out of the parent before the first cell and puts back
+after the last.
+
+The shard runner installs a known world before **every** cell — in the
 parent for serial runs and in pool workers for parallel runs — which is
 what makes cell results independent of execution order and worker
 placement, and therefore byte-identical between ``--jobs 1`` and
@@ -31,7 +35,7 @@ placement, and therefore byte-identical between ``--jobs 1`` and
 :class:`WarmSnapshot` layers the snapshot/fork mechanism on top: build
 once by replaying the shared scenario *prefix* (site image built,
 flatten/convert/pack caches hot) from a pristine base, then ``fork()``
-before each cell.  A fork rewinds the counters to the pristine base —
+before each cell.  A fork rewinds the allocators to the pristine base —
 so the cell re-draws the exact id sequence the warmup drew, its image
 digests match the cached keys, and the prefix materialization work
 resolves to cache hits — while the virtual-time results stay identical
@@ -42,85 +46,43 @@ clock).
 from __future__ import annotations
 
 import dataclasses
-import importlib
-import itertools
 import pickle
 import typing as _t
 
+from repro.ids import ids
 from repro.sim import profile as _profile
 
-#: every module-global ``itertools.count`` that feeds simulated ids.
-#: (The per-instance counters — apiserver resource versions, Slurm job
-#: ids, kernel pids, Environment sequence numbers — are born fresh with
-#: their owning object inside each cell and need no capture.)
-COUNTER_SITES: tuple[tuple[str, str], ...] = (
-    ("repro.fs.inode", "_inode_counter"),
-    ("repro.fs.images", "_image_counter"),
-    ("repro.kernel.mounts", "_mount_counter"),
-    ("repro.kernel.namespaces", "_ns_counter"),
-    ("repro.oci.runtime", "_container_counter"),
-    ("repro.oci.sif", "_sif_counter"),
-    ("repro.registry.auth", "_token_counter"),
-    ("repro.signing.keys", "_key_counter"),
-    ("repro.k8s.objects", "_uid_counter"),
-)
-
-
-def _site_key(module: str, attr: str) -> str:
-    return f"{module}.{attr}"
-
-
-def _peek_counter(module: str, attr: str) -> int:
-    """Read a counter's next value without consuming it (draw one value,
-    rebind a fresh count at that value)."""
-    mod = importlib.import_module(module)
-    value = next(getattr(mod, attr))
-    setattr(mod, attr, itertools.count(value))
-    return value
-
-
-def _set_counter(module: str, attr: str, value: int) -> None:
-    mod = importlib.import_module(module)
-    setattr(mod, attr, itertools.count(value))
-
-
-def _counter_positions() -> dict[str, int]:
-    return {_site_key(m, a): _peek_counter(m, a) for m, a in COUNTER_SITES}
-
-
-#: (kind, key, counter fingerprint) -> (value, counter positions after).
+#: (kind, key, allocator fingerprint) -> (value, positions after).
 #: The prefix-replay cache behind :func:`replay_prefix`: because the key
-#: embeds the *exact* global counter positions the producer started
-#: from, a hit can only occur when the world is in the identical state
-#: it was in when the entry was recorded — which in practice means right
-#: after a :meth:`WarmSnapshot.fork` counter rewind.  Outside shard
-#: replays every build advances the counters, so the fingerprint never
-#: repeats and the cache is inert.
+#: embeds the *exact* allocator positions the producer started from, a
+#: hit can only occur when the world is in the identical state it was in
+#: when the entry was recorded — which in practice means right after a
+#: :meth:`WarmSnapshot.fork` rewind.  Outside shard replays every build
+#: advances the allocators, so the fingerprint never repeats and the
+#: cache is inert.
 _REPLAY_CACHE: dict[tuple, tuple[object, dict[str, int]]] = {}
 
 
 def replay_prefix(kind: str, key: str, produce: _t.Callable[[], _t.Any]) -> _t.Any:
     """Run ``produce()`` once per (inputs, world state); replay after.
 
-    On a hit the recorded value is returned and the global counters jump
+    On a hit the recorded value is returned and the id allocators jump
     to the positions the original run left behind, so the process state
     after a replay is indistinguishable from having re-run the producer
     — every later draw yields the same ids, digests and names.  Each
     replay counts as a ``warm_replays`` profile event.
     """
-    before = _counter_positions()
-    cache_key = (kind, key, tuple(sorted(before.items())))
+    cache_key = (kind, key, tuple(ids.positions().values()))
     hit = _REPLAY_CACHE.get(cache_key)
     if hit is not None:
         value, after = hit
-        for module, attr in COUNTER_SITES:
-            _set_counter(module, attr, after[_site_key(module, attr)])
+        ids.install(after)
         counters = _profile.counters
         if counters.enabled:
             counters.warm_replays += 1
         return value
     value = produce()
-    _REPLAY_CACHE[cache_key] = (value, _counter_positions())
+    _REPLAY_CACHE[cache_key] = (value, ids.positions())
     return value
 
 
@@ -128,7 +90,7 @@ def replay_prefix(kind: str, key: str, produce: _t.Callable[[], _t.Any]) -> _t.A
 class WorldState:
     """A picklable checkpoint of the process-wide simulation state."""
 
-    #: ``module.attr`` -> next value the counter will yield
+    #: :class:`~repro.ids.Ids` field -> next value its allocator yields
     counters: dict[str, int]
     #: manifest digest -> master flattened tree
     flatten_cache: dict[str, object]
@@ -146,7 +108,7 @@ class WorldState:
         from repro.oci import squash as _squash
 
         return cls(
-            counters=_counter_positions(),
+            counters=ids.positions(),
             flatten_cache=dict(_squash._FLATTEN_CACHE),
             convert_cache=dict(_squash._CONVERT_CACHE),
             pack_cache=dict(_images._PACK_CACHE),
@@ -155,15 +117,15 @@ class WorldState:
 
     @classmethod
     def pristine(cls) -> "WorldState":
-        """The state of a freshly imported process: counters at 1,
+        """The state of a freshly imported process: allocators at 1,
         caches empty."""
-        return cls(
-            counters={_site_key(m, a): 1 for m, a in COUNTER_SITES},
-            flatten_cache={},
-            convert_cache={},
-            pack_cache={},
-            replay_cache={},
-        )
+        return cls(dict.fromkeys(ids.__slots__, 1), {}, {}, {})
+
+    @property
+    def warm(self) -> bool:
+        """Whether any materialization cache holds an entry."""
+        return bool(self.flatten_cache or self.convert_cache
+                    or self.pack_cache or self.replay_cache)
 
     def install(self) -> None:
         """Make the current process's world state equal this snapshot.
@@ -173,19 +135,52 @@ class WorldState:
         dicts are never handed out, so cells cannot mutate the
         checkpoint they forked from.
         """
-        for module, attr in COUNTER_SITES:
-            _set_counter(module, attr, self.counters[_site_key(module, attr)])
+        ids.install(self.counters)
         from repro.fs import images as _images
         from repro.oci import squash as _squash
 
-        _squash._FLATTEN_CACHE.clear()
-        _squash._FLATTEN_CACHE.update(self.flatten_cache)
-        _squash._CONVERT_CACHE.clear()
-        _squash._CONVERT_CACHE.update(self.convert_cache)
-        _images._PACK_CACHE.clear()
-        _images._PACK_CACHE.update(self.pack_cache)
-        _REPLAY_CACHE.clear()
-        _REPLAY_CACHE.update(self.replay_cache)
+        for live, saved in ((_squash._FLATTEN_CACHE, self.flatten_cache),
+                            (_squash._CONVERT_CACHE, self.convert_cache),
+                            (_images._PACK_CACHE, self.pack_cache),
+                            (_REPLAY_CACHE, self.replay_cache)):
+            live.clear()
+            live.update(saved)
+
+
+def obs_sinks() -> tuple:
+    """The process-wide obs sinks, in a fixed order: sim-core counters,
+    metrics registry, tracer, time-series recorder."""
+    from repro.obs.metrics import registry
+    from repro.obs.timeseries import recorder
+    from repro.obs.trace import tracer
+
+    return _profile.counters, registry, tracer, recorder
+
+
+@dataclasses.dataclass
+class RunState:
+    """The process-wide state a shard run must not disturb: the world
+    and the complete state of every obs sink (``enabled`` flags and all).
+
+    Each sink keeps its object identity — ``Environment`` caches the
+    counter block and many modules alias the registry and tracer — so
+    only the sinks' fields move in and out.
+    """
+
+    world: WorldState
+    sinks: tuple[dict, ...]
+
+    @classmethod
+    def take(cls) -> "RunState":
+        """Take the current run state out of the process: the world is
+        copied, and every sink is left blank and off."""
+        return cls(WorldState.capture(), tuple(s.swap() for s in obs_sinks()))
+
+    def install(self) -> None:
+        """Put this run state back, replacing whatever is there."""
+        self.world.install()
+        for sink, state in zip(obs_sinks(), self.sinks):
+            sink.swap(state)
 
 
 def warm_scenario_prefix(n_nodes: int = 4) -> None:
@@ -212,18 +207,14 @@ def warm_scenario_prefix(n_nodes: int = 4) -> None:
 class WarmSnapshot:
     """A checkpoint of a warmed-up simulation prefix.
 
-    ``base`` is the counter state the warmup started from (cells rewind
-    to it so their draws replay the warmup's); the cache dicts hold the
-    materialization results the warmup produced.  The whole object is a
+    ``state`` holds the allocator positions the warmup started from
+    (cells rewind to them so their draws replay the warmup's) and the
+    materialization caches the warmup produced.  The whole object is a
     plain pickle — workers receive it as bytes through the pool
     initializer.
     """
 
-    base_counters: dict[str, int]
-    flatten_cache: dict[str, object]
-    convert_cache: dict[tuple, tuple]
-    pack_cache: dict[tuple, object]
-    replay_cache: dict[tuple, tuple] = dataclasses.field(default_factory=dict)
+    state: WorldState
 
     @classmethod
     def build(
@@ -242,14 +233,8 @@ class WarmSnapshot:
             base.install()
             if warmup is not None:
                 warmup()
-            warm = WorldState.capture()
-            return cls(
-                base_counters=dict(base.counters),
-                flatten_cache=warm.flatten_cache,
-                convert_cache=warm.convert_cache,
-                pack_cache=warm.pack_cache,
-                replay_cache=warm.replay_cache,
-            )
+            return cls(dataclasses.replace(WorldState.capture(),
+                                           counters=dict(base.counters)))
         finally:
             saved.install()
 
@@ -261,29 +246,18 @@ class WarmSnapshot:
     @property
     def warm(self) -> bool:
         """Whether the snapshot actually carries cached materializations
-        (a cold snapshot is just a counter rewind)."""
-        return bool(
-            self.flatten_cache
-            or self.convert_cache
-            or self.pack_cache
-            or self.replay_cache
-        )
+        (a cold snapshot is just an allocator rewind)."""
+        return self.state.warm
 
     def fork(self) -> None:
         """Install this snapshot as the current process's world state.
 
-        Counters rewind to the snapshot's *base*, so the cell that runs
-        next re-draws the warmup's id sequence and its prefix builds and
-        image digests hit the warmed caches (each such hit counts as a
-        ``warm_replays`` profile event).
+        The allocators rewind to the snapshot's base, so the cell that
+        runs next re-draws the warmup's id sequence and its prefix
+        builds and image digests hit the warmed caches (each such hit
+        counts as a ``warm_replays`` profile event).
         """
-        WorldState(
-            counters=dict(self.base_counters),
-            flatten_cache=self.flatten_cache,
-            convert_cache=self.convert_cache,
-            pack_cache=self.pack_cache,
-            replay_cache=self.replay_cache,
-        ).install()
+        self.state.install()
         counters = _profile.counters
         if counters.enabled:
             counters.snapshot_forks += 1

@@ -73,6 +73,8 @@ check per event — and is switched on explicitly::
 
 from __future__ import annotations
 
+from repro.obs.sink import Sink
+
 _FIELDS = (
     "events_scheduled",
     "events_processed",
@@ -108,7 +110,7 @@ PEAK_FIELDS = frozenset(
 )
 
 
-class SimCounters:
+class SimCounters(Sink):
     """Mutable counter block updated by the simulator core.
 
     ``enabled`` gates all counting: the simulator reads it once per

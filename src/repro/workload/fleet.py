@@ -99,7 +99,7 @@ import numpy as np
 
 from repro.cluster.capacity import CapacityIndex
 from repro.faults.injector import injector as _faults
-from repro.faults.plan import PUSH_KINDS, FaultEvent, FaultKind, FaultPlan
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.faults.retry import RetryExhausted, RetryPolicy
 from repro.obs import metrics as _metrics
 from repro.obs import timeseries as _timeseries
@@ -922,7 +922,7 @@ class FleetShardEngine:
             self._local_epoch = -1
             self.result.epochs += 1
             rec = self._rec
-            if rec.enabled and env.now >= rec._next_due:
+            if rec.due(env.now):
                 self._sample_timeseries(rec)
             if prof.enabled:
                 depth = (len(env._queue) + len(env._immediate)
@@ -1184,23 +1184,13 @@ def run_fleet_shard(
     process never perturbs the pump's event schedule.
     """
     env = Environment()
-    plan = FaultPlan.from_json(plan_json) if plan_json else None
-    if plan is not None:
-        pull_plan = FaultPlan(
-            [e for e in plan if e.kind not in PUSH_KINDS], seed=plan.seed
-        )
-        _faults.arm(pull_plan, env)
-    try:
-        engine = FleetShardEngine(env, config, shard, plan=plan)
-        result = engine.run()
+    with _faults.arm_pulls(plan_json, env) as plan:
+        result = FleetShardEngine(env, config, shard, plan=plan).run()
         if plan is not None:
             result.injected = dict(_faults.injected_counts)
             result.injected_at = dict(_faults.injected_at)
             result.fault_retries = dict(_faults.retry_counts)
         return result
-    finally:
-        if plan is not None:
-            _faults.disarm()
 
 
 def fleet_cells(config: FleetConfig, plan: FaultPlan | None = None) -> list:

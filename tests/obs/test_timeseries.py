@@ -172,6 +172,33 @@ def test_capture_state_leaves_rate_bookkeeping_and_probes_behind():
     assert fresh._last_counters == {}
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    interval=st.builds(lambda n, e: n / 10**e, st.integers(1, 999), st.integers(0, 3)),
+    steps=st.lists(st.integers(0, 50), min_size=1, max_size=30),
+    jitter=st.sampled_from([0.0, 1e-9, 0.5]),
+)
+def test_sample_stays_on_a_float_safe_grid(interval, steps, jitter):
+    """At decimal intervals ``floor(now / interval)`` can land one grid
+    step off (4.3 / 0.1 < 43); every stamp must still lie on the grid at
+    or below ``now``, the next due point strictly above it, and stamps
+    strictly increase — otherwise a sampler re-arms at ``now`` forever."""
+    rec = TimeSeriesRecorder().enable(interval=interval)
+    stamps = []
+    k = 0
+    for step in steps:
+        k += step
+        now = k * interval + jitter * interval
+        stamp = rec.sample_due(now)
+        if stamp is None:
+            assert now < rec._next_due
+            continue
+        assert stamp <= now < rec._next_due
+        assert stamp == round(stamp / interval) * interval
+        stamps.append(stamp)
+    assert stamps == sorted(set(stamps))
+
+
 def test_install_sampler_ticks_and_self_terminates():
     rec = recorder
     rec.enable(interval=5.0)

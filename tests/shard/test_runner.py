@@ -5,6 +5,8 @@ JSON, report JSON, profile snapshots — because that is the guarantee
 ``--jobs N`` makes: not "statistically the same", identical.
 """
 
+import copy
+import dataclasses
 import json
 
 import pytest
@@ -114,24 +116,131 @@ def test_chaos_sweep_serial_vs_sharded_identical(snapshot, _obs_clean):
         assert _sweep_artifacts(jobs, seeds, snapshot) == serial
 
 
-def test_runner_restores_parent_state(snapshot, _obs_clean):
+def _run_state():
+    """A deep copy of the complete run state: id positions and each obs
+    sink's fields (``enabled``, the tracer's next tid, the recorder's
+    interval and rings...), histograms as their snapshots."""
+    from repro.ids import ids
+    from repro.shard.state import obs_sinks
+
+    states = []
+    for sink in obs_sinks():
+        state = sink.swap()
+        sink.swap(state)
+        state = copy.deepcopy(state)
+        if "_histograms" in state:
+            state["_histograms"] = {k: h.snapshot() for k, h in state["_histograms"].items()}
+        states.append(state)
+    return ids.positions(), states
+
+
+def _parent_run_state():
+    """Put recognizable parent state into every obs sink; return it."""
+    from repro.obs import metrics, timeseries, trace
+
+    sim_profile.counters.enabled = False
+    sim_profile.counters.cow_clones = 7
+    metrics.registry.enabled = True
+    metrics.registry.inc("parent.ops", 3, site="a")
+    metrics.registry.observe("parent.latency", 0.5)
+    tracer = trace.tracer.enable(wall_clock=True)
+    tracer.instant("parent.mark")
+    tracer.absorb({"events": [("i", "parent.row", 1.0, 0, None, None)],
+                   "thread_names": {0: "main"}}, label="parent")
+    recorder = timeseries.recorder.enable(interval=7.0)
+    recorder.record("parent.series", 7.0, 1.0)
+    recorder.sample(14.0)
+    return _run_state()
+
+
+@pytest.fixture
+def _sinks_clean(_obs_clean):
+    yield
+    from repro.shard.state import obs_sinks
+
+    for sink in obs_sinks():
+        sink.swap()
+
+
+def test_runner_restores_parent_state(snapshot, _sinks_clean):
     from repro.shard.state import WorldState
 
     before = WorldState.capture()
-    prof_before = sim_profile.counters.snapshot()
-    run_cells(
+    ids_before, (prof, reg, trc, rec) = _parent_run_state()
+    result = run_cells(
         scenario_matrix(n_nodes=N_NODES, n_pods=N_PODS)[:1],
         jobs=1,
         snapshot=snapshot,
     )
     after = WorldState.capture()
-    # The parent world (counters + caches) is untouched; only the merged
-    # profile counters landed on top of the saved values.
-    assert after.counters == before.counters
+    # The parent world (ids + caches) is untouched, and so is every obs
+    # sink; only the merged profile counters landed on top.
+    assert after.counters == before.counters == ids_before
     assert set(after.flatten_cache) == set(before.flatten_cache)
-    delta = sim_profile.counters.snapshot_delta(prof_before)
-    assert delta["shard_cells_run"] == 1
-    sim_profile.counters.reset()
+    ids_now, (prof_now, reg_now, trc_now, rec_now) = _run_state()
+    assert (reg_now, trc_now, rec_now) == (reg, trc, rec)
+    assert prof_now.pop("enabled") is prof.pop("enabled") is False
+    assert prof_now == merge_profiles([prof, result.profile])
+    assert prof_now["shard_cells_run"] == 1
+
+
+def test_runner_merges_on_top_of_restored_parent(snapshot, _sinks_clean):
+    ids_before, (_prof, reg, trc, rec) = _parent_run_state()
+    result = run_cells(
+        chaos_seed_sweep("kubelet-in-allocation", [0, 1], n_nodes=N_NODES, n_pods=2),
+        jobs=2,
+        obs=ObsConfig(metrics=True, trace=True, timeseries=10.0),
+        snapshot=snapshot,
+    )
+    ids_now, (prof_now, reg_now, trc_now, rec_now) = _run_state()
+    assert ids_now == ids_before
+    for state, state_now in ((reg, reg_now), (trc, trc_now), (rec, rec_now)):
+        assert state_now["enabled"] == state["enabled"]
+    assert prof_now["enabled"] is False
+    assert trc_now["wall_clock"] is True
+    # parent series and rows first, the cells' merged after them
+    assert reg_now["_counters"][("parent.ops", (("site", "a"),))] == 3
+    assert len(reg_now["_counters"]) > len(reg["_counters"])
+    n = len(trc["_events"])
+    assert trc_now["_events"][:n] == trc["_events"]
+    cell_rows = {event[3] for event in trc_now["_events"][n:]}
+    assert min(cell_rows) == trc["_next_tid"]
+    assert trc_now["_next_tid"] == trc["_next_tid"] + len(cell_rows)
+    assert all(trc_now["_thread_names"][t] == name
+               for t, name in trc["_thread_names"].items())
+    labels = [r.label for r in result.results]
+    assert {trc_now["_thread_names"][t].split(":")[0] for t in cell_rows} == set(labels)
+    key = ("parent.series", ())
+    assert list(rec_now["_points"][key]) == list(rec["_points"][key])
+    assert len(rec_now["_points"]) > len(rec["_points"])
+    # the merged rings sit on the cells' grid, and the recorder says so
+    assert rec_now["interval"] == 10.0
+
+
+@dataclasses.dataclass(frozen=True)
+class _FailingCell:
+    """A cell that draws ids, records into every sink, then raises."""
+
+    label: str = "failing"
+
+    def run(self):
+        from repro.fs.tree import FileTree
+        from repro.obs import metrics, trace
+
+        FileTree().create_file("/draws/ids", size=1)
+        metrics.registry.inc("cell.ops")
+        trace.tracer.instant("cell.mark")
+        raise RuntimeError("cell failed")
+
+
+def test_runner_restores_parent_state_when_a_cell_raises(_sinks_clean):
+    ids_before, states = _parent_run_state()
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_cells([_FailingCell()], jobs=1,
+                  obs=ObsConfig(metrics=True, trace=True, timeseries=1.0))
+    ids_now, states_now = _run_state()
+    assert ids_now == ids_before
+    assert states_now == states
 
 
 # -- the partition-merge property --------------------------------------------

@@ -8,13 +8,8 @@ import pytest
 
 import repro
 
-from repro.shard.state import (
-    COUNTER_SITES,
-    WarmSnapshot,
-    WorldState,
-    _counter_positions,
-    replay_prefix,
-)
+from repro.ids import Ids, ids
+from repro.shard.state import WarmSnapshot, WorldState, replay_prefix
 
 
 @pytest.fixture
@@ -26,27 +21,30 @@ def _world_guard():
 
 
 def test_every_module_level_id_counter_is_registered():
-    """A module-global ``itertools.count`` that WorldState does not save
-    and restore breaks ``--jobs N`` byte-identity; register it in
-    ``COUNTER_SITES``."""
+    """A module-global ``itertools.count`` outside :mod:`repro.ids` is an
+    allocator WorldState does not save and restore, which breaks
+    ``--jobs N`` byte-identity; draw from a field of ``repro.ids.ids``."""
     root = pathlib.Path(repro.__file__).parent
-    found = set()
+    scanned, found = 0, set()
     for path in root.rglob("*.py"):
         module = ".".join(("repro", *path.relative_to(root).with_suffix("").parts))
+        if module == "repro.ids":
+            continue
+        scanned += 1
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.Assign, ast.AnnAssign))
                     and isinstance(node.value, ast.Call)
-                    and ast.unparse(node.value.func) == "itertools.count"):
+                    and ast.unparse(node.value.func) in ("itertools.count", "count")):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                found.update((module, t.id) for t in targets if isinstance(t, ast.Name))
-    assert found, "the scan found no counter at all"
-    assert not found - set(COUNTER_SITES), f"unregistered: {found - set(COUNTER_SITES)}"
+                found.update((module, ast.unparse(t)) for t in targets)
+    assert scanned > 100, "the scan found no modules"
+    assert not found, f"module-level counters outside repro.ids: {sorted(found)}"
 
 
 def test_capture_is_non_destructive():
-    before = _counter_positions()
+    before = ids.positions()
     WorldState.capture()
-    assert _counter_positions() == before
+    assert ids.positions() == before
 
 
 def test_capture_install_roundtrip(_world_guard):
@@ -55,16 +53,16 @@ def test_capture_install_roundtrip(_world_guard):
     checkpoint = WorldState.capture()
     tree = FileTree()
     tree.create_file("/advance/counters", size=10)
-    advanced = _counter_positions()
+    advanced = ids.positions()
     assert advanced != checkpoint.counters
     checkpoint.install()
-    assert _counter_positions() == checkpoint.counters
+    assert ids.positions() == checkpoint.counters
 
 
 def test_pristine_counters_all_one():
     pristine = WorldState.pristine()
     assert set(pristine.counters.values()) == {1}
-    assert len(pristine.counters) == len(COUNTER_SITES)
+    assert pristine.counters == Ids().positions()
 
 
 def test_replay_prefix_returns_value_and_advances_counters(_world_guard):
@@ -74,7 +72,7 @@ def test_replay_prefix_returns_value_and_advances_counters(_world_guard):
     dockerfile = "FROM alpine:3.18\nRUN write /x 1000\nENTRYPOINT /x"
     checkpoint = WorldState.capture()
     image_cold = Builder(BaseImageCatalog()).build_dockerfile(dockerfile)
-    after_cold = _counter_positions()
+    after_cold = ids.positions()
 
     # Rewind the counters only — the replay cache keeps the cold entry.
     rewound = dataclasses.replace(
@@ -85,7 +83,7 @@ def test_replay_prefix_returns_value_and_advances_counters(_world_guard):
     # Identical value, and the counters jumped to the cold run's positions
     # — the world cannot tell a replay from a re-run.
     assert image_warm is image_cold
-    assert _counter_positions() == after_cold
+    assert ids.positions() == after_cold
 
 
 def test_replay_prefix_counts_warm_replays(_world_guard):
@@ -128,9 +126,9 @@ def test_warm_snapshot_build_is_invisible():
 def test_warm_snapshot_pickle_roundtrip():
     snapshot = WarmSnapshot.for_scenario_prefix(n_nodes=2)
     clone = WarmSnapshot.from_bytes(snapshot.to_bytes())
-    assert clone.base_counters == snapshot.base_counters
-    assert set(clone.flatten_cache) == set(snapshot.flatten_cache)
-    assert set(clone.replay_cache) == set(snapshot.replay_cache)
+    assert clone.state.counters == snapshot.state.counters
+    assert set(clone.state.flatten_cache) == set(snapshot.state.flatten_cache)
+    assert set(clone.state.replay_cache) == set(snapshot.state.replay_cache)
     assert clone.warm
 
 

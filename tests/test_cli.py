@@ -299,6 +299,46 @@ def test_chaos_sweep_timeseries_jobs_identical(tmp_path, capsys, _obs_clean):
     assert run(1) == run(2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["replay", "--tenants", "2", "--nodes", "4", "--starts", "30", "--shards", "2",
+     "--day", "300"],
+    ["chaos", "kubelet-in-allocation", "--seeds", "0..1", "--nodes", "2",
+     "--pods", "2", "--trace", "{tmp}/t.json"],
+    ["fleet", "--tenants", "4", "--nodes", "8", "--starts", "200", "--shards", "2",
+     "--day", "300"],
+])
+def test_sharded_timeseries_names_the_cells_interval(argv, tmp_path, capsys, _obs_clean):
+    """The merged series sit on the grid the cells sampled, and the
+    export says so."""
+    path = tmp_path / "series.json"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([*argv, "--sample-interval", "10", "--timeseries", str(path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    assert doc["interval"] == 10.0
+    assert doc["samples"] > 0
+    assert all(t % 10.0 == 0.0 for pts in doc["series"].values() for t, _v in pts)
+
+
+def test_slo_decimal_sample_interval_terminates():
+    """0.1 is not a binary fraction: grid points computed as
+    ``floor(now / 0.1) * 0.1`` can fall one step short of ``now`` and
+    stall the sampler at one virtual time."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "slo", "kubelet-in-allocation",
+         "--sample-interval", "0.1", "--nodes", "2", "--pods", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert "SLO scorecard: kubelet-in-allocation" in done.stdout, done.stderr
+
+
 def test_metrics_out_roundtrip(tmp_path, _obs_clean):
     first = tmp_path / "m1.json"
     second = tmp_path / "m2.json"

@@ -41,12 +41,9 @@ def _scored_run(config, plan, jobs=1, interval=5.0):
     """Run a sampled fleet under ``plan`` and score the default rules."""
     obs_timeseries.reset()
     result = run_fleet(config, jobs=jobs, sample_interval=interval, plan=plan)
-    # merge restores points but not the interval; pin it before scoring
-    obs_timeseries.recorder.enable(interval=interval, reset=False)
     try:
         card = score_fleet_slo(result)
     finally:
-        obs_timeseries.disable()
         obs_timeseries.reset()
     return result, card
 
