@@ -72,25 +72,23 @@ def shard_parallel_jobs() -> int:
 
 
 def run_shard_suite(calibration_s: float) -> dict:
-    """Time the shard workload serial vs parallel from one warm snapshot.
+    """Time the shard workload serial vs parallel.
 
     The merged profile counters come straight off the runner
     (:class:`~repro.shard.ShardResult`), are machine-independent, and —
-    because the runner's merge is placement-invariant — identical
-    between the two entries; ``snapshot_forks``/``warm_replays`` in the
-    snapshot surface how much prefix work the fork replayed.
+    because every cell starts from the pristine world and the runner's
+    merge is placement-invariant — identical between the two entries.
     """
-    from repro.shard import WarmSnapshot, run_cells
+    from repro.shard import run_cells
 
     cells = _shard_cells()
-    snapshot = WarmSnapshot.for_scenario_prefix()
     entries = {}
     for name, jobs in (
         ("shard_matrix_chaos_serial", 1),
         ("shard_matrix_chaos_parallel", shard_parallel_jobs()),
     ):
         t0 = time.perf_counter()
-        result = run_cells(cells, jobs=jobs, snapshot=snapshot)
+        result = run_cells(cells, jobs=jobs)
         wall = time.perf_counter() - t0
         entries[name] = {
             "wall_clock_s": round(wall, 4),
@@ -201,14 +199,11 @@ def test_simcore_wallclock(benchmark):
 
     # Sharded execution is a pure re-scheduling: the merged counters are
     # machine- and placement-independent, so serial and parallel entries
-    # must agree exactly, and the warm snapshot must actually replay the
-    # scenario prefix in every cell.
+    # must agree exactly, and every cell must have run.
     serial = result["benchmarks"]["shard_matrix_chaos_serial"]
     parallel = result["benchmarks"]["shard_matrix_chaos_parallel"]
     assert parallel["sim_counters"] == serial["sim_counters"]
     assert serial["sim_counters"]["shard_cells_run"] == serial["cells"]
-    assert serial["sim_counters"]["snapshot_forks"] == serial["cells"]
-    assert serial["sim_counters"]["warm_replays"] >= serial["cells"]
     if (os.cpu_count() or 1) >= 2:
         # the PR6 acceptance bar: ≤ 0.6x serial wall on a real multicore
         assert parallel["wall_clock_s"] <= 0.6 * serial["wall_clock_s"], (
@@ -231,8 +226,7 @@ if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
         if "jobs" in data:
             print(
                 f"{sweep_name}: {data['cells']} cells with jobs={data['jobs']} in "
-                f"{data['wall_clock_s']:.2f}s; {c['snapshot_forks']} snapshot forks, "
-                f"{c['warm_replays']} warm prefix replays"
+                f"{data['wall_clock_s']:.2f}s; {c['events_processed']} events processed"
             )
             continue
         print(

@@ -222,14 +222,13 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     from repro.core.tables import render_table
     from repro.scenarios.evaluate import summary_rows
-    from repro.shard import ObsConfig, WarmSnapshot, run_cells, scenario_matrix
+    from repro.shard import ObsConfig, run_cells, scenario_matrix
 
     want_metrics = _arm_merge(args, None)
     result = run_cells(
         scenario_matrix(n_nodes=args.nodes, n_pods=args.pods),
         jobs=args.jobs,
         obs=ObsConfig(metrics=want_metrics),
-        snapshot=WarmSnapshot.for_scenario_prefix(args.nodes),
     )
     metrics = result.values()
     print(render_table(summary_rows(metrics),
@@ -352,8 +351,7 @@ def _chaos_sweep(args: argparse.Namespace, scenario_cls: type) -> int:
     """
     from repro.faults.chaos import chaos_report_document
     from repro.obs import trace as obs_trace
-    from repro.shard import (ObsConfig, WarmSnapshot, chaos_seed_sweep,
-                             parse_seed_range, run_cells)
+    from repro.shard import ObsConfig, chaos_seed_sweep, parse_seed_range, run_cells
     import dataclasses as _dc
 
     try:
@@ -376,7 +374,6 @@ def _chaos_sweep(args: argparse.Namespace, scenario_cls: type) -> int:
         cells,
         jobs=args.jobs,
         obs=ObsConfig(metrics=want_metrics, trace=True, timeseries=interval),
-        snapshot=WarmSnapshot.for_scenario_prefix(args.nodes),
     )
     reports = result.values()
     doc_text = obs_trace.export_json(args.trace, indent=2 if args.pretty else None)

@@ -39,6 +39,7 @@ from repro.faults.plan import PUSH_KINDS as _PUSH_KINDS
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
+from repro.obs.sink import Sink
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -47,8 +48,11 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 PushHandler = _t.Callable[[FaultEvent, str], None]
 
 
-class FaultInjector:
+class FaultInjector(Sink):
     """Holds the armed plan and serves injection-point queries."""
+
+    __slots__ = ("enabled", "_plan", "_env", "_windows", "_handlers",
+                 "injected_counts", "injected_at", "retry_counts")
 
     def __init__(self) -> None:
         self.enabled = False

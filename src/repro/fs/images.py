@@ -115,11 +115,6 @@ def tree_content_digest(tree: FileTree) -> str:
 _PACK_CACHE: dict[tuple[str, float, int, frozenset[int]], SquashImage] = {}
 
 
-def clear_pack_cache() -> None:
-    """Drop the pack memo (test isolation helper)."""
-    _PACK_CACHE.clear()
-
-
 def pack_squash(
     tree: FileTree,
     compression_ratio: float = DEFAULT_COMPRESSION_RATIO,

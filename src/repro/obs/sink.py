@@ -1,4 +1,4 @@
-"""The state exchange every process-wide obs sink shares."""
+"""The state exchange every process-wide sink shares."""
 
 
 class Sink:

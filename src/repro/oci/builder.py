@@ -113,36 +113,8 @@ class Builder:
         context: FileTree | None = None,
         build_uid: int = 0,
     ) -> OCIImage:
-        """Build an OCI image, replaying identical prefix builds.
-
-        Context-free builds go through the shard prefix-replay cache:
-        keyed by the dockerfile *and* the exact global counter
-        fingerprint, so a hit only ever occurs when the world state
-        matches the recorded build bit-for-bit (a warm-snapshot fork).
-        Everything else — including every build in a normally advancing
-        process — takes the cold path below.
-        """
-        if context is not None:
-            return self._build_dockerfile_cold(text, context, build_uid)
-        from repro.shard.state import replay_prefix
-
-        image, stats = replay_prefix(
-            "build_dockerfile",
-            f"{build_uid}\n{text}",
-            lambda: (
-                self._build_dockerfile_cold(text, None, build_uid),
-                dict(self.last_build_stats),
-            ),
-        )
-        self.last_build_stats = dict(stats)
-        return image
-
-    def _build_dockerfile_cold(
-        self,
-        text: str,
-        context: FileTree | None,
-        build_uid: int,
-    ) -> OCIImage:
+        """Build an OCI image from Dockerfile ``text``; ``context`` is
+        the tree COPY reads from."""
         instructions = DockerfileParser.parse(text)
         context = context or FileTree()
         context_digest = self._context_digest(context)

@@ -23,8 +23,7 @@ from repro.sim import Environment
 #: image every scenario's pods run
 WORKFLOW_IMAGE = "registry.site.local/pipelines/step:v1"
 
-#: the recipe behind it — one definition so the scenario base and the
-#: shard warm-snapshot build byte-identical images
+#: the recipe behind it
 WORKFLOW_DOCKERFILE = (
     "FROM alpine:3.18\nRUN write /srv/step 2000000\nENTRYPOINT /srv/step"
 )
@@ -81,9 +80,6 @@ class IntegrationScenario:
         self.engines = {h.name: PodmanEngine(h) for h in self.hosts}
         self.registry = OCIDistributionRegistry(name="site-registry")
         image = Builder(BaseImageCatalog()).build_dockerfile(WORKFLOW_DOCKERFILE)
-        #: the built workflow image (the shard warm-snapshot replays this
-        #: exact build to pre-seed the materialization caches)
-        self.image = image
         self.registry.push_image("pipelines/step", "v1", image)
         self.provisioned_at: float | None = None
         self.pods: list[Pod] = []

@@ -26,7 +26,7 @@ from repro.shard.runner import (
     merge_profiles,
     run_cells,
 )
-from repro.shard.state import RunState, WarmSnapshot, WorldState, warm_scenario_prefix
+from repro.shard.state import RunState, WorldState
 
 __all__ = [
     "CellResult",
@@ -36,7 +36,6 @@ __all__ = [
     "RunState",
     "ScenarioCell",
     "ShardResult",
-    "WarmSnapshot",
     "WorldState",
     "chaos_seed_sweep",
     "default_start_method",
@@ -46,5 +45,4 @@ __all__ = [
     "run_cells",
     "scenario_matrix",
     "scenario_table",
-    "warm_scenario_prefix",
 ]

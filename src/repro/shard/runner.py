@@ -7,10 +7,10 @@ snapshots, trace exports and profile counters are **byte-identical to a
 serial run**.  Three invariants make that hold:
 
 1. *Every* cell — in-process or in a pool worker, fork or spawn start
-   method — begins by blanking every obs sink and installing a known
-   :class:`WorldState` (a :class:`WarmSnapshot` fork, or pristine).
-   Whatever a previous cell (or a forked parent image) left behind is
-   overwritten, so a cell's result depends only on the cell value itself.
+   method — begins by blanking every sink (the fault injector included)
+   and installing the pristine :class:`WorldState`.  Whatever a previous
+   cell (or a forked parent image) left behind is overwritten, so a
+   cell's result depends only on the cell value itself.
 2. Results are collected with order-preserving ``Pool.map`` and merged
    strictly in cell-index order — never completion order — so gauge
    last-writer-wins, trace row numbering and report concatenation are
@@ -20,9 +20,9 @@ serial run**.  Three invariants make that hold:
    trace rows are re-keyed onto fresh tids per cell.
 
 The parent's whole :class:`RunState` (world plus every sink's complete
-state) is taken out before the first cell and put back before merging,
-so calling the runner is invisible to surrounding code beyond the
-merged-in results.
+state, an armed fault plan included) is taken out before the first cell
+and put back before merging, so calling the runner is invisible to
+surrounding code beyond the merged-in results.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import multiprocessing as _mp
 import typing as _t
 
 from repro.shard.cells import Cell
-from repro.shard.state import RunState, WarmSnapshot, WorldState, obs_sinks
+from repro.shard.state import RunState, WorldState, obs_sinks
 from repro.sim import profile as _profile
 
 
@@ -91,14 +91,14 @@ def merge_profiles(snaps: _t.Iterable[dict[str, int]]) -> dict[str, int]:
 
 
 def _execute_cell(
-    index: int, cell: Cell, snapshot: WarmSnapshot | None, obs: ObsConfig
+    index: int, cell: Cell, world: WorldState, obs: ObsConfig
 ) -> CellResult:
-    """Run one cell from a known state and capture everything it produced.
+    """Run one cell from ``world`` and capture everything it produced.
 
     This is the only place cells execute, so serial and pooled runs are
     the same code path; it deliberately clobbers the process-wide state
     (the parent takes its own out around the whole batch)."""
-    counters, registry, tracer, recorder = sinks = obs_sinks()
+    counters, registry, tracer, recorder, _injector = sinks = obs_sinks()
     for sink in sinks:
         sink.swap()
     counters.enabled = True
@@ -106,10 +106,7 @@ def _execute_cell(
     tracer.enabled = obs.trace
     if obs.timeseries is not None:
         recorder.enable(interval=obs.timeseries)
-    if snapshot is not None:
-        snapshot.fork()
-    else:
-        WorldState.pristine().install()
+    world.install()
     counters.shard_cells_run += 1
     value = cell.run()
     return CellResult(
@@ -123,61 +120,40 @@ def _execute_cell(
     )
 
 
-# -- pool worker entry points (must be importable, not closures) -------------
-
-_WORKER_SNAPSHOT: WarmSnapshot | None = None
-_WORKER_OBS: ObsConfig = ObsConfig()
-
-
-def _worker_init(snapshot_blob: bytes | None, obs: ObsConfig) -> None:
-    global _WORKER_SNAPSHOT, _WORKER_OBS
-    _WORKER_SNAPSHOT = (
-        WarmSnapshot.from_bytes(snapshot_blob) if snapshot_blob is not None else None
-    )
-    _WORKER_OBS = obs
-
-
-def _worker_run(item: tuple[int, Cell]) -> CellResult:
-    index, cell = item
-    return _execute_cell(index, cell, _WORKER_SNAPSHOT, _WORKER_OBS)
+def _worker_run(item: tuple[int, Cell, WorldState, ObsConfig]) -> CellResult:
+    """Pool entry point (module-level, so it pickles by name)."""
+    return _execute_cell(*item)
 
 
 def run_cells(
     cells: _t.Sequence[Cell],
     jobs: int = 1,
     obs: ObsConfig | None = None,
-    snapshot: WarmSnapshot | None = None,
     start_method: str | None = None,
 ) -> ShardResult:
     """Execute ``cells`` across ``jobs`` workers and merge the outputs.
 
-    ``jobs <= 1`` runs in-process through the identical per-cell path.
-    ``snapshot`` (a :class:`WarmSnapshot`) replays each cell from the
-    warmed prefix; without one, cells start pristine.  After the call
-    the parent's profile counters, metrics registry, tracer and recorder
-    hold the merged results on top of whatever they held before.
+    ``jobs <= 1`` runs in-process through the identical per-cell path;
+    every cell starts from the pristine world.  After the call the
+    parent's profile counters, metrics registry, tracer and recorder
+    hold the merged results on top of whatever they held before, and
+    its fault injector is as it was.
     """
-    cells = list(cells)
     obs = obs or ObsConfig()
+    world = WorldState.pristine()
+    items = [(i, cell, world, obs) for i, cell in enumerate(cells)]
     parent = RunState.take()
     try:
-        if jobs <= 1 or len(cells) <= 1:
-            results = [
-                _execute_cell(i, cell, snapshot, obs) for i, cell in enumerate(cells)
-            ]
+        if jobs <= 1 or len(items) <= 1:
+            results = [_execute_cell(*item) for item in items]
         else:
             ctx = _mp.get_context(start_method or default_start_method())
-            blob = snapshot.to_bytes() if snapshot is not None else None
-            with ctx.Pool(
-                processes=min(jobs, len(cells)),
-                initializer=_worker_init,
-                initargs=(blob, obs),
-            ) as pool:
-                results = pool.map(_worker_run, list(enumerate(cells)), chunksize=1)
+            with ctx.Pool(processes=min(jobs, len(items))) as pool:
+                results = pool.map(_worker_run, items, chunksize=1)
     finally:
         parent.install()
 
-    counters, registry, tracer, recorder = obs_sinks()
+    counters, registry, tracer, recorder, _injector = obs_sinks()
     merged = merge_profiles(result.profile for result in results)
     counters.merge(merged)
     for result in results:

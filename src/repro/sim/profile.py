@@ -32,12 +32,6 @@ wall-clock noise:
   materialization that used to be rebuilt layer by layer);
 - ``shard_cells_run``: matrix cells executed by the
   :mod:`repro.shard` runner (serial and parallel alike);
-- ``snapshot_forks``: times a :class:`~repro.shard.WarmSnapshot` was
-  forked into the process-wide world state;
-- ``warm_replays``: prefix materializations (e.g. whole dockerfile
-  builds) replayed from a warm snapshot's fingerprint-keyed cache
-  instead of re-simulated — the counters jump to the recorded
-  positions, so a replay is world-state-identical to a cold run;
 - ``event_queue_peak``: high-water mark of *deferred work* reported by
   batching engines (e.g. :mod:`repro.workload.fleet`): simulator queue
   plus any calendar/pending structures an engine keeps outside the
@@ -93,8 +87,6 @@ _FIELDS = (
     "digest_cache_hits",
     "flatten_cache_hits",
     "shard_cells_run",
-    "snapshot_forks",
-    "warm_replays",
     "event_queue_peak",
     "live_objects_peak",
     "sched_index_hits",

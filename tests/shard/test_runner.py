@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.shard import (
     ObsConfig,
-    WarmSnapshot,
     chaos_seed_sweep,
     merge_profiles,
     parse_seed_range,
@@ -41,12 +40,7 @@ def _obs_clean():
     sim_profile.counters.reset()
 
 
-@pytest.fixture(scope="module")
-def snapshot():
-    return WarmSnapshot.for_scenario_prefix(n_nodes=N_NODES)
-
-
-def _matrix_artifacts(jobs, snapshot, start_method=None):
+def _matrix_artifacts(jobs, start_method=None):
     """Run the §6.6 matrix and return comparable artifacts."""
     from repro.core.tables import render_table
     from repro.obs import metrics as obs_metrics
@@ -58,7 +52,6 @@ def _matrix_artifacts(jobs, snapshot, start_method=None):
         scenario_matrix(n_nodes=N_NODES, n_pods=N_PODS),
         jobs=jobs,
         obs=ObsConfig(metrics=True),
-        snapshot=snapshot,
         start_method=start_method,
     )
     table = render_table(summary_rows(result.values()), "matrix")
@@ -68,27 +61,25 @@ def _matrix_artifacts(jobs, snapshot, start_method=None):
     return table, metrics_table, result.profile
 
 
-def test_matrix_serial_vs_sharded_identical(snapshot, _obs_clean):
-    serial = _matrix_artifacts(1, snapshot)
+def test_matrix_serial_vs_sharded_identical(_obs_clean):
+    serial = _matrix_artifacts(1)
     for jobs in (2, 4):
-        assert _matrix_artifacts(jobs, snapshot) == serial
+        assert _matrix_artifacts(jobs) == serial
 
 
-def test_matrix_spawn_matches_fork(snapshot, _obs_clean):
+def test_matrix_spawn_matches_fork(_obs_clean):
     """Same artifacts under the spawn start method (fresh interpreters)."""
-    serial = _matrix_artifacts(1, snapshot)
-    assert _matrix_artifacts(2, snapshot, start_method="spawn") == serial
+    serial = _matrix_artifacts(1)
+    assert _matrix_artifacts(2, start_method="spawn") == serial
 
 
-def test_matrix_profile_shows_shard_counters(snapshot, _obs_clean):
-    _, _, profile = _matrix_artifacts(2, snapshot)
+def test_matrix_profile_shows_shard_counters(_obs_clean):
+    _, _, profile = _matrix_artifacts(2)
     n_cells = len(scenario_matrix(n_nodes=N_NODES, n_pods=N_PODS))
     assert profile["shard_cells_run"] == n_cells
-    assert profile["snapshot_forks"] == n_cells
-    assert profile["warm_replays"] == n_cells  # one replayed build per cell
 
 
-def _sweep_artifacts(jobs, seeds, snapshot):
+def _sweep_artifacts(jobs, seeds):
     from repro.faults.chaos import chaos_report_document
     from repro.obs import trace as obs_trace
     from repro.obs.export import to_chrome_json, validate_chrome_trace
@@ -99,27 +90,27 @@ def _sweep_artifacts(jobs, seeds, snapshot):
                          n_nodes=N_NODES, n_pods=N_PODS),
         jobs=jobs,
         obs=ObsConfig(trace=True),
-        snapshot=snapshot,
     )
     doc = chaos_report_document(result.values(), "kubelet-in-allocation")
     trace_text = to_chrome_json(obs_trace.tracer)
     assert validate_chrome_trace(json.loads(trace_text)) == []
     obs_trace.tracer.reset()
     sim_profile.counters.reset()
-    return json.dumps(doc, indent=2), trace_text
+    return json.dumps(doc, indent=2), trace_text, result.profile
 
 
-def test_chaos_sweep_serial_vs_sharded_identical(snapshot, _obs_clean):
+def test_chaos_sweep_serial_vs_sharded_identical(_obs_clean):
     seeds = parse_seed_range("0..3")
-    serial = _sweep_artifacts(1, seeds, snapshot)
+    serial = _sweep_artifacts(1, seeds)
     for jobs in (2, 4):
-        assert _sweep_artifacts(jobs, seeds, snapshot) == serial
+        assert _sweep_artifacts(jobs, seeds) == serial
 
 
 def _run_state():
-    """A deep copy of the complete run state: id positions and each obs
+    """A deep copy of the complete run state: id positions and each
     sink's fields (``enabled``, the tracer's next tid, the recorder's
-    interval and rings...), histograms as their snapshots."""
+    interval and rings, the injector's plan...), histograms as their
+    snapshots."""
     from repro.ids import ids
     from repro.shard.state import obs_sinks
 
@@ -162,37 +153,32 @@ def _sinks_clean(_obs_clean):
         sink.swap()
 
 
-def test_runner_restores_parent_state(snapshot, _sinks_clean):
+def test_runner_restores_parent_state(_sinks_clean):
     from repro.shard.state import WorldState
 
     before = WorldState.capture()
-    ids_before, (prof, reg, trc, rec) = _parent_run_state()
-    result = run_cells(
-        scenario_matrix(n_nodes=N_NODES, n_pods=N_PODS)[:1],
-        jobs=1,
-        snapshot=snapshot,
-    )
+    ids_before, (prof, reg, trc, rec, inj) = _parent_run_state()
+    result = run_cells(scenario_matrix(n_nodes=N_NODES, n_pods=N_PODS)[:1], jobs=1)
     after = WorldState.capture()
     # The parent world (ids + caches) is untouched, and so is every obs
     # sink; only the merged profile counters landed on top.
     assert after.counters == before.counters == ids_before
     assert set(after.flatten_cache) == set(before.flatten_cache)
-    ids_now, (prof_now, reg_now, trc_now, rec_now) = _run_state()
-    assert (reg_now, trc_now, rec_now) == (reg, trc, rec)
+    ids_now, (prof_now, reg_now, trc_now, rec_now, inj_now) = _run_state()
+    assert (reg_now, trc_now, rec_now, inj_now) == (reg, trc, rec, inj)
     assert prof_now.pop("enabled") is prof.pop("enabled") is False
     assert prof_now == merge_profiles([prof, result.profile])
     assert prof_now["shard_cells_run"] == 1
 
 
-def test_runner_merges_on_top_of_restored_parent(snapshot, _sinks_clean):
-    ids_before, (_prof, reg, trc, rec) = _parent_run_state()
+def test_runner_merges_on_top_of_restored_parent(_sinks_clean):
+    ids_before, (_prof, reg, trc, rec, _inj) = _parent_run_state()
     result = run_cells(
         chaos_seed_sweep("kubelet-in-allocation", [0, 1], n_nodes=N_NODES, n_pods=2),
         jobs=2,
         obs=ObsConfig(metrics=True, trace=True, timeseries=10.0),
-        snapshot=snapshot,
     )
-    ids_now, (prof_now, reg_now, trc_now, rec_now) = _run_state()
+    ids_now, (prof_now, reg_now, trc_now, rec_now, _inj_now) = _run_state()
     assert ids_now == ids_before
     for state, state_now in ((reg, reg_now), (trc, trc_now), (rec, rec_now)):
         assert state_now["enabled"] == state["enabled"]
@@ -242,6 +228,26 @@ def test_runner_restores_parent_state_when_a_cell_raises(_sinks_clean):
     assert ids_now == ids_before
     assert states_now == states
 
+
+
+def test_runner_keeps_the_parent_fault_plan_armed(_sinks_clean):
+    """A serial shard run neither drops the parent's armed plan nor lets
+    it reach the cells: the cell reports equal those of a clean run."""
+    from repro.faults.injector import injector
+    from repro.sim import Environment
+
+    cells = chaos_seed_sweep("kubelet-in-allocation", [0], n_nodes=N_NODES, n_pods=2)
+    clean = run_cells(cells, jobs=1).values()
+    plan = chaos_seed_sweep("kubelet-in-allocation", [1], n_nodes=N_NODES)[0].plan()
+    env = Environment()
+    injector.arm(plan, env)
+    windows = {point: list(events) for point, events in injector._windows.items()}
+    assert windows
+    armed = run_cells(cells, jobs=1).values()
+    assert injector.enabled
+    assert injector._plan is plan and injector._env is env
+    assert injector._windows == windows
+    assert armed == clean
 
 # -- the partition-merge property --------------------------------------------
 
